@@ -28,6 +28,9 @@ Chunk sources exploit each builder's order structure:
   subset exactly.  Chunk granularity is therefore whole blocks (intra)
   and whole grid columns/rows (inter) — the budget is honoured down to
   that floor;
+* both recipe sources also emit an injective int64 ``net_code`` per wire
+  (:class:`~repro.layout.netcode.NetCodec`) and hand the validator its
+  decoder;
 * 2-D grids (:func:`chunked_grid2d_table`) — emission order is channel
   by channel; a first pass computes demands without retaining graphs and
   a second pass streams the dogleg rows.
@@ -39,12 +42,22 @@ per-bucket sweeps are the *same* core functions the monolithic
 :func:`~repro.layout.validate.validate_table` runs, and their keyed
 messages merge back into the monolithic emission order before the
 global ``MAX_ERRORS_KEPT`` cap is applied.
+
+Nets never enter the spill: every spilled row carries its wire's int64
+net code (the builder's, or one a :class:`~repro.layout.netcode.NetInterner`
+assigns), and the spill files are raw int64 ``.npy`` arrays — one per
+fed chunk or per ~8 MiB of rows, each holding the bucket-sorted rows of
+every check, read back by byte range.  ``terminals-distinct`` compares
+codes, the realizes-graph tally keeps codes until its array fast path
+fails, and the bucket sweeps write nets into their messages as code
+placeholders that the reducer decodes only for the at most
+``MAX_ERRORS_KEPT`` messages a report keeps.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import re
 import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -57,7 +70,8 @@ import numpy as np
 
 from ..backend import get_backend
 from ..topology.graph import Graph
-from ..transform.swap_butterfly import SwapButterfly
+from ..topology.bits import level_swap_array
+from ..transform.swap_butterfly import ExchangeBoundary, SwapButterfly
 from .collinear import (
     TrackOrder, optimal_track_count, track_assignment_arrays,
 )
@@ -70,6 +84,7 @@ from .grid2d import (
 from .grid_scheme import GridDims, grid_dims
 from .grid_table import _cats_table, _grid_cats, build_grid_nodes
 from .model import LayoutModel, multilayer_model, thompson_model
+from .netcode import NetCodec, NetInterner
 from .validate import (
     MAX_ERRORS_KEPT,
     ValidationReport,
@@ -77,6 +92,8 @@ from .validate import (
     _bulk,
     _canon_edge,
     _canon_net_rows,
+    _node_bands,
+    _node_index,
     _realizes_fallback,
     _staged_nodes_placed,
     _track_overlap_sweep,
@@ -173,7 +190,16 @@ class ChunkedBuild:
     _bulk: Optional[Callable[[], Dict[str, np.ndarray]]] = field(
         default=None, repr=False
     )
+    # relative feed+validate work of each descriptor (aligned with
+    # ``descriptors``); the parallel pipeline cuts its spans by it
+    descriptor_weights: Optional[List[int]] = field(default=None, repr=False)
     _summary_cache: Optional[Dict[str, int]] = field(default=None, repr=False)
+    # decoder of the ``net_code`` column the chunks carry (a picklable
+    # :class:`~repro.layout.netcode.NetCodec`); ``None`` means the chunks
+    # carry no codes and the validator interns their nets instead
+    net_decoder: Optional[Callable[[int], Tuple]] = field(
+        default=None, repr=False
+    )
 
     def chunks(self) -> Iterator[WireTable]:
         if self.descriptors is not None and self._materialize is not None:
@@ -210,6 +236,7 @@ class ChunkedBuild:
             self.chunks(), self.nodes, self.model, graph=graph,
             check_nodes=check_nodes, check_vias=check_vias, backend=backend,
             num_buckets=num_buckets, spill_dir=spill_dir,
+            net_decoder=self.net_decoder,
         )
 
     def summary(self) -> Dict[str, int]:
@@ -244,6 +271,7 @@ class ChunkedBuild:
                 self.nodes, self.model, graph=graph, check_nodes=check_nodes,
                 check_vias=check_vias, backend=backend,
                 num_buckets=num_buckets, spill_dir=spill_dir,
+                net_decoder=self.net_decoder,
             )
             st = ChunkStats()
             try:
@@ -291,6 +319,7 @@ def chunked_collinear_table(
     wpc = wires_per_chunk(memory_budget_bytes)
     vl = np.int64(layers.vertical)
     hl = np.int64(layers.horizontal)
+    codec = NetCodec.collinear(n, m)
 
     _bulk_cache: Dict[str, np.ndarray] = {}
 
@@ -332,11 +361,13 @@ def chunked_collinear_table(
             nets,
             np.arange(cn + 1, dtype=np.int64) * 3,
             flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
+            net_code=None if codec is None else codec.pack(a, b, copy),
         )
 
     descriptors = [
         ("rng", lo, min(lo + wpc, nw)) for lo in range(0, nw, wpc)
     ]
+    descriptor_weights = [hi - lo for _k, lo, hi in descriptors]
     # a recipe must rebuild this exact source from primitives alone, so
     # custom models / layer pairs fall back to the buffered parallel path
     recipe = None
@@ -358,23 +389,62 @@ def chunked_collinear_table(
         descriptors=descriptors,
         _materialize=materialize,
         _bulk=bulk,
+        net_decoder=codec,
+        descriptor_weights=descriptor_weights,
     )
 
 
-def _grid_grain(
-    dims: GridDims, sb_n: int, recirculating: bool,
-    memory_budget_bytes: Optional[int],
-) -> Tuple[int, int, int, int, int]:
-    """Chunk granularity of the grid source for a byte budget:
-    ``(wires_per_chunk, wires_per_block, blocks_per_intra_chunk,
-    grid_cols_per_chunk, grid_rows_per_chunk)``."""
+def _grid_phase_wires(
+    sb: SwapButterfly, dims: GridDims, recirculating: bool
+) -> Tuple[int, int, int]:
+    """Wires one block emits in each phase: ``(intra, inter-col,
+    inter-row)``.  A composite boundary's channel item stays in its block
+    iff the level swap keeps the block id, which holds for the same
+    number of local rows in every block, so block 0 stands for all."""
     R = dims.block.nrows
-    # per-block wire estimate: ~2 wires per (row, boundary) + feedback
-    per_block = 2 * R * sb_n + (R if recirculating else 0)
+    rows = np.arange(R, dtype=np.int64)
+    intra = R if recirculating else 0
+    col = row = 0
+    for b in sb.boundaries:
+        if isinstance(b, ExchangeBoundary):
+            intra += 2 * R  # straight + cross per row
+            continue
+        sig = level_swap_array(rows, dims.ks, b.level)
+        away = int(np.count_nonzero(sig >> dims.ks[0]))
+        intra += 2 * (R - away)
+        if b.level == 2:
+            row += 2 * away
+        else:
+            col += 2 * away
+    return intra, col, row
+
+
+# working-set weight of one inter-block wire (5-9 segments) relative to
+# the ~3-segment wire _WIRE_BYTES is calibrated on
+_INTER_WIRE_WEIGHT = 3
+
+
+def _grid_grain(
+    sb: SwapButterfly, dims: GridDims, recirculating: bool,
+    memory_budget_bytes: Optional[int],
+) -> Tuple[int, Tuple[int, int, int], int, int, int]:
+    """Chunk granularity of the grid source for a byte budget:
+    ``(wires_per_chunk, phase_wires_per_block, blocks_per_intra_chunk,
+    grid_cols_per_chunk, grid_rows_per_chunk)``.
+
+    Intra chunks count every wire of their blocks against the target.
+    Inter chunks size by their own phase's wires (a grid column holds
+    ``grid_rows`` blocks' inter-col wires, a grid row ``grid_cols``
+    blocks' inter-row wires), each weighted ``_INTER_WIRE_WEIGHT`` times
+    an average wire for its 5-9 segments.
+    """
+    per_block = _grid_phase_wires(sb, dims, recirculating)
+    intra, col, row = per_block
     wpc = wires_per_chunk(memory_budget_bytes)
-    bpc = max(1, wpc // max(per_block, 1))
-    cpc = max(1, bpc // dims.grid_rows)  # grid columns per inter-col chunk
-    rpc = max(1, bpc // dims.grid_cols)  # grid rows per inter-row chunk
+    bpc = max(1, wpc // max(intra + col + row, 1))
+    w = _INTER_WIRE_WEIGHT
+    cpc = max(1, wpc // max(w * col * dims.grid_rows, 1))
+    rpc = max(1, wpc // max(w * row * dims.grid_cols, 1))
     return wpc, per_block, bpc, cpc, rpc
 
 
@@ -386,13 +456,14 @@ def grid_chunk_estimate(
     memory_budget_bytes: Optional[int] = None,
 ) -> Dict[str, int]:
     """Planning numbers for a chunked grid build without building wires:
-    descriptor count, chunk-size target, and a peak working-set estimate
-    (the chunk-size target or the one-block granularity floor, whichever
-    dominates, times the per-wire working-set constant)."""
+    descriptor count, chunk-size target, total wires, and a peak
+    working-set estimate (the chunk-size target or the largest one-group
+    granularity floor, whichever dominates, times the per-wire
+    working-set constant)."""
     dims = grid_dims(ks, W, L, recirculating=recirculating)
     sb = SwapButterfly.from_ks(dims.ks)
-    wpc, per_block, bpc, cpc, rpc = _grid_grain(
-        dims, sb.n, recirculating, memory_budget_bytes
+    wpc, (intra, col, row), bpc, cpc, rpc = _grid_grain(
+        sb, dims, recirculating, memory_budget_bytes
     )
     gc, gr = dims.grid_cols, dims.grid_rows
     NB = gc * gr
@@ -400,8 +471,11 @@ def grid_chunk_estimate(
     return {
         "chunks": int(nchunks),
         "wires_per_chunk": int(wpc),
-        "est_total_wires": int(per_block * NB),
-        "est_peak_bytes": int(max(wpc, per_block) * _WIRE_BYTES),
+        "est_total_wires": int((intra + col + row) * NB),
+        "est_peak_bytes": int(max(
+            wpc, intra + col + row,
+            _INTER_WIRE_WEIGHT * col * gr, _INTER_WIRE_WEIGHT * row * gc,
+        ) * _WIRE_BYTES),
     }
 
 
@@ -428,13 +502,15 @@ def chunked_grid_table(
     gc, gr = dims.grid_cols, dims.grid_rows
     k2 = dims.ks[1]
     NB = gr * gc
-    wpc, _per_block, bpc, cpc, rpc = _grid_grain(
-        dims, sb.n, recirculating, memory_budget_bytes
+    wpc, (intra, col, row), bpc, cpc, rpc = _grid_grain(
+        sb, dims, recirculating, memory_budget_bytes
     )
+    codec = NetCodec.grid(sb.rows, sb.stages)
 
     def sub(bids: np.ndarray, phase: str) -> WireTable:
         return _cats_table(_grid_cats(
-            sb, dims, track_order, recirculating, bids, frozenset({phase})
+            sb, dims, track_order, recirculating, bids, frozenset({phase}),
+            codec=codec,
         ))
 
     _bulk_cache: Dict[str, np.ndarray] = {}
@@ -463,6 +539,16 @@ def chunked_grid_table(
         + [("inter-col", c0, c0 + cpc) for c0 in range(0, gc, cpc)]
         + [("inter-row", g0, g0 + rpc) for g0 in range(0, gr, rpc)]
     )
+    # per-descriptor work: groups covered times the phase's wires per
+    # group (inter wires belong to their source block's column / row),
+    # inter wires weighted by their longer paths
+    w = _INTER_WIRE_WEIGHT
+    grain = {"intra": (NB, intra), "inter-col": (gc, w * gr * col),
+             "inter-row": (gr, w * gc * row)}
+    descriptor_weights = [
+        (min(hi, grain[kind][0]) - lo) * grain[kind][1]
+        for kind, lo, hi in descriptors
+    ]
     return ChunkedBuild(
         name=f"grid-B{dims.n}-L{L}",
         model=model,
@@ -476,6 +562,8 @@ def chunked_grid_table(
         descriptors=descriptors,
         _materialize=materialize,
         _bulk=bulk,
+        net_decoder=codec,
+        descriptor_weights=descriptor_weights,
     )
 
 
@@ -662,85 +750,138 @@ def _buckets_of(nb: int, *cols: np.ndarray) -> np.ndarray:
     return (h % np.uint64(nb)).astype(np.int64)
 
 
-class _SpillStore:
-    """Disk-spilled, hash-partitioned rows for one grouped check.
+# a spill file is written once this many staged bytes accumulate, or at
+# the end of each fed chunk: few files (creating one costs more than
+# filling it) while the staged rows stay a small, bounded buffer
+_SPILL_FILE_BYTES = 8 << 20
 
-    ``add`` splits a chunk's rows by bucket and appends one pickle part
-    per touched bucket (int64 column matrix + aligned net objects);
-    ``iter_buckets``/``bucket`` reload one bucket at a time, preserving
-    global arrival order within the bucket (chunks feed in emission
-    order and the per-chunk split is stable).
+
+class _SpillWriter:
+    """Packs bucket-sorted rows of every spill store into shared files.
+
+    Each file is one raw int64 ``.npy`` array — the concatenated
+    ``(rows, ncols)`` matrices of the stores staged since the previous
+    flush, one column per field and the net code as the last column —
+    with no pickle and no Python objects.  A flush registers, for every
+    touched bucket of every staged store, the part ``(path, lo, hi)``:
+    the byte range of that bucket's rows.
     """
 
-    def __init__(self, root: str, name: str, num_buckets: int, ncols: int) -> None:
-        self.dir = os.path.join(root, name)
-        os.makedirs(self.dir, exist_ok=True)
-        self.nb = num_buckets
-        self.ncols = ncols
-        self.parts: List[List[str]] = [[] for _ in range(num_buckets)]
+    def __init__(self, root: str) -> None:
+        self.root = root
         self._seq = 0
+        self._staged: List[Tuple["_SpillStore", np.ndarray, np.ndarray]] = []
+        self._nbytes = 0
 
-    def add(self, bucket: np.ndarray, cols: List[np.ndarray], objs: List) -> None:
-        nr = len(bucket)
-        if not nr:
+    def stage(self, store: "_SpillStore", mat: np.ndarray, bounds) -> None:
+        self._staged.append((store, mat, bounds))
+        self._nbytes += mat.nbytes
+        if self._nbytes >= _SPILL_FILE_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._staged:
             return
-        order = np.argsort(bucket, kind="stable")
-        bs = bucket[order]
-        bounds = np.searchsorted(bs, np.arange(self.nb + 1))
-        mat = np.stack(
-            [np.asarray(c, dtype=np.int64)[order] for c in cols], axis=0
-        )
-        olist = [objs[i] for i in order.tolist()]
-        for k in range(self.nb):
-            i0, i1 = int(bounds[k]), int(bounds[k + 1])
-            if i0 == i1:
-                continue
-            path = os.path.join(self.dir, f"{k:05d}_{self._seq:07d}.pkl")
-            with open(path, "wb") as f:
-                pickle.dump(
-                    (mat[:, i0:i1], olist[i0:i1]), f,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            self.parts[k].append(path)
+        os.makedirs(self.root, exist_ok=True)
+        path = os.path.join(self.root, f"{self._seq:07d}.npy")
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
+                "fortran_order": False,
+                "shape": (sum(m.size for _s, m, _b in self._staged),),
+            })
+            for store, mat, bounds in self._staged:
+                pos = fh.tell()
+                mat.tofile(fh)
+                row = mat.itemsize * mat.shape[1]
+                for k in range(store.nb):
+                    i0, i1 = int(bounds[k]), int(bounds[k + 1])
+                    if i0 < i1:
+                        store.parts[k].append(
+                            (path, pos + i0 * row, pos + i1 * row)
+                        )
+        self._staged = []
+        self._nbytes = 0
         self._seq += 1
 
-    def bucket(self, k: int) -> Optional[Tuple[List[np.ndarray], List]]:
-        if not self.parts[k]:
-            return None
-        return _load_parts(self.parts[k], self.ncols)
 
-    def iter_buckets(self):
-        for k in range(self.nb):
-            b = self.bucket(k)
-            if b is not None:
-                yield k, b[0], b[1]
+class _SpillStore:
+    """Disk-spilled, hash-partitioned int64 rows for one grouped check.
+
+    ``add`` sorts a chunk's rows by bucket (stably) and stages them with
+    the validator's :class:`_SpillWriter`.  ``parts[k]`` lists bucket
+    ``k``'s parts in append order, which is global arrival order within
+    the bucket (chunks feed in emission order and the per-chunk split is
+    stable).
+    """
+
+    def __init__(self, writer: _SpillWriter, num_buckets: int) -> None:
+        self.writer = writer
+        self.nb = num_buckets
+        self.parts: List[List[Tuple]] = [[] for _ in range(num_buckets)]
+
+    def add(self, bucket: np.ndarray, cols: List[np.ndarray]) -> None:
+        if not len(bucket):
+            return
+        # a stable sort of small ints is a radix sort in numpy
+        small = np.uint16 if self.nb <= 1 << 16 else np.int64
+        order = np.argsort(bucket.astype(small), kind="stable")
+        bounds = np.searchsorted(bucket[order], np.arange(self.nb + 1))
+        mat = np.empty((len(bucket), len(cols)), dtype=np.int64)
+        for j, c in enumerate(cols):
+            mat[:, j] = c[order]
+        self.writer.stage(self, mat, bounds)
 
 
-def _load_parts(
-    parts: List, ncols: int
-) -> Tuple[List[np.ndarray], List]:
-    """Reload and concatenate spill parts in append order.
+def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
+    """Reload one bucket's parts in append order and return its
+    ``ncols`` columns (net code last).
 
-    Each entry is either a plain path or ``(path, offsets)`` where
+    A part is ``(path, lo, hi)`` or ``(path, lo, hi, offsets)``, where
     ``offsets`` is a per-column additive rebase vector — how the
     parallel reducer shifts a worker's span-local wire / via-position /
     terminal-sequence numbering into the global frame without rewriting
-    the spilled bytes.
+    the spilled bytes.  Only the part's byte range is read.
     """
-    mats, olists = [], []
-    for p in parts:
-        off = None
-        if isinstance(p, tuple):
-            p, off = p
-        with open(p, "rb") as f:
-            mat, ol = pickle.load(f)
-        if off is not None:
-            mat = mat + np.asarray(off, dtype=np.int64).reshape(-1, 1)
+    mats = []
+    for part in parts:
+        path, lo, hi = part[:3]
+        mat = np.fromfile(
+            path, dtype=np.int64, count=(hi - lo) // 8, offset=lo
+        ).reshape(-1, ncols)
+        if len(part) > 3:
+            mat += np.asarray(part[3], dtype=np.int64)
         mats.append(mat)
-        olists.append(ol)
-    mat = np.concatenate(mats, axis=1)
-    objs = [o for ol in olists for o in ol]
-    return [mat[i] for i in range(ncols)], objs
+    return list(np.ascontiguousarray(np.concatenate(mats).T))
+
+
+class _NetRef:
+    """A net inside a bucket sweep's message, by code: it formats as a
+    placeholder that :func:`_decode_msgs` later replaces with the decoded
+    net, so sweeps (possibly in pool workers) never need the decoder and
+    only messages that reach the report are decoded."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, code) -> None:
+        self.code = int(code)
+
+    def __format__(self, spec: str) -> str:
+        return f"\x00{self.code}\x00"
+
+
+_NET_REF = re.compile("\x00([0-9]+)\x00")
+
+
+def _refs(codes: np.ndarray) -> Callable[[int], _NetRef]:
+    return lambda r: _NetRef(codes[r])
+
+
+def _decode_msgs(msgs: Iterable[str], decode) -> Iterator[str]:
+    """Lazily swap every :class:`_NetRef` placeholder for ``str(net)`` —
+    exactly what formatting the net tuple itself writes."""
+    for m in msgs:
+        yield _NET_REF.sub(lambda g: str(decode(int(g.group(1)))), m)
 
 
 class _Tally:
@@ -807,7 +948,50 @@ def _fast_stub(k: int, kk: int) -> Dict:
         "counts": None,
         "uniq": np.zeros((0, 2 * kk), dtype=np.int64),
         "agg": np.zeros(0, dtype=np.int64),
+        "pending": [],
+        "pending_n": 0,
     }
+
+
+def _fast_add(f: Dict, rows: np.ndarray, weights: np.ndarray) -> None:
+    """Queue weighted edge rows into a fast-path accumulator, folding
+    once the queue outgrows the aggregate (amortized, not per chunk)."""
+    f["pending"].append((rows, weights))
+    f["pending_n"] += len(rows)
+    if f["pending_n"] >= max(len(f["uniq"]), _DEFAULT_CHUNK_WIRES):
+        _fast_fold(f)
+
+
+def _fast_fold(f: Dict) -> None:
+    """Aggregate the queued rows into ``uniq``/``agg`` (associative, so
+    the fold points never change the result)."""
+    if not f["pending"]:
+        return
+    f["uniq"], f["agg"] = Graph._aggregate_rows(
+        np.concatenate([f["uniq"]] + [r for r, _w in f["pending"]]),
+        np.concatenate([f["agg"]] + [w for _r, w in f["pending"]]),
+    )
+    f["pending"] = []
+    f["pending_n"] = 0
+
+
+def _code_counter(codes: List[np.ndarray], decode) -> Counter:
+    """The realizes-graph fallback's canonical-edge ``Counter``, rebuilt
+    from the fed net codes.  Codes are decoded once each, in order of
+    first occurrence, so the Counter's insertion order — which the
+    fallback's message selection depends on — is the one a per-net
+    ``+= 1`` over the whole table produces."""
+    got: Counter = Counter()
+    if not codes:
+        return got
+    uniq, first, counts = np.unique(
+        np.concatenate(codes), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    for c, n in zip(uniq[order].tolist(), counts[order].tolist()):
+        net = decode(c)
+        got[_canon_edge(net[0], net[1])] += n
+    return got
 
 
 class ChunkedValidator:
@@ -824,6 +1008,10 @@ class ChunkedValidator:
     bucket-local, and re-run the monolithic sweep cores per bucket.
     Pick ``num_buckets >= total_rows_bytes / memory_budget_bytes`` to
     bound the reload size.
+
+    Nets travel as int64 codes.  With a ``net_decoder`` every chunk must
+    carry a ``net_code`` column that it decodes; without one the
+    validator interns each chunk's nets itself.
     """
 
     def __init__(
@@ -836,6 +1024,7 @@ class ChunkedValidator:
         backend=None,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
+        net_decoder: Optional[Callable[[int], Hashable]] = None,
     ) -> None:
         self.nodes = nodes
         self.model = model
@@ -844,33 +1033,38 @@ class ChunkedValidator:
         self.check_vias = check_vias
         self.be = get_backend(backend)
         self.nb = max(1, int(num_buckets))
+        self._interner = NetInterner() if net_decoder is None else None
+        self.decode = net_decoder if net_decoder is not None else self._interner
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if spill_dir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-chunked-")
             spill_dir = self._tmpdir.name
-        root = spill_dir
-        # rows: layer, horiz, track, lo, hi, global wire
-        self._tracks = _SpillStore(root, "tracks", self.nb, 6)
+        self._spill = _SpillWriter(spill_dir)
+        self._stores: Dict[str, _SpillStore] = {}
+
+        def store(name: str) -> _SpillStore:
+            self._stores[name] = _SpillStore(self._spill, self.nb)
+            return self._stores[name]
+
+        # rows: layer, horiz, track, lo, hi, global wire, net code
+        self._tracks = store("tracks")
         if check_vias:
-            # rows: x, y, zlo, zhi, global wire
-            self._cols = _SpillStore(root, "viacol", self.nb, 5)
-            # rows: layer, fix, lo, hi, global wire (per orientation)
-            self._segs = {
-                True: _SpillStore(root, "seg_h", self.nb, 5),
-                False: _SpillStore(root, "seg_v", self.nb, 5),
-            }
+            # rows: x, y, zlo, zhi, global wire, net code
+            self._cols = store("viacol")
+            # rows: layer, fix, lo, hi, global wire, net code (per
+            # orientation)
+            self._segs = {True: store("seg_h"), False: store("seg_v")}
             # rows: ql, qx, qy, global wire, global section pos, layer
-            # ordinal — one store per (orientation, column section) so a
-            # reloaded bucket concatenates to the monolithic query order
-            # ([all starts][all ends][all bends]) restricted to the bucket
+            # ordinal, net code — one store per (orientation, column
+            # section) so a reloaded bucket concatenates to the monolithic
+            # query order ([all starts][all ends][all bends]) restricted
+            # to the bucket
             self._qrys = {
-                (is_h, sec): _SpillStore(
-                    root, f"qry_{'h' if is_h else 'v'}_{sec}", self.nb, 6
-                )
+                (is_h, sec): store(f"qry_{'h' if is_h else 'v'}_{sec}")
                 for is_h in (True, False) for sec in (0, 1, 2)
             }
-            # rows: x, y, global arrival seq, global wire
-            self._terms = _SpillStore(root, "terms", self.nb, 4)
+            # rows: x, y, global arrival seq, net code
+            self._terms = store("terms")
         self._t_layer = _Tally()
         self._t_contig = _Tally()
         self._t_avoid = _Tally()
@@ -878,18 +1072,13 @@ class ChunkedValidator:
         self._gw_count = 0
         self._bend_count = 0
         self._term_count = 0
-        # wires-avoid-nodes: band indexes over the (fixed) nodes, built once
-        self._bi: Dict[bool, Optional[_BandIndex]] = {True: None, False: None}
-        if check_nodes and nodes:
-            ybands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-            xbands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-            for r in nodes.values():
-                ybands[(r.y, r.y2)].append((r.x, r.x2))
-                xbands[(r.x, r.x2)].append((r.y, r.y2))
-            self._bi[True] = _BandIndex(ybands)
-            self._bi[False] = _BandIndex(xbands)
-        # realizes-graph: exact Counter always; array fast-path while viable
-        self._got: Counter = Counter()
+        # node-side indexes over the (fixed) nodes, built on the first
+        # feed — a parallel reducer never feeds, so never builds them
+        self._node_idx = None
+        self._bi: Dict[bool, _BandIndex] = {}
+        # realizes-graph: every fed net code, for an exact Counter built
+        # only if the array fast path (kept while viable) fails
+        self._codes: List[np.ndarray] = []
         self._fast: Optional[Dict] = (
             _fast_template(graph) if graph is not None else None
         )
@@ -897,15 +1086,31 @@ class ChunkedValidator:
 
     # -- feeding ---------------------------------------------------------
 
+    def _build_indexes(self) -> None:
+        self._node_idx = _node_index(self.nodes)
+        if self.check_nodes and self.nodes:
+            self._bi = _node_bands(self._node_idx)
+
+    def _net_codes(self, t: WireTable) -> np.ndarray:
+        if self._interner is not None:
+            return self._interner.codes(t.nets)
+        if t.net_code is None:
+            raise ValueError(
+                "chunk carries no net_code for this validator's net_decoder"
+            )
+        return np.asarray(t.net_code, dtype=np.int64)
+
     def feed(self, t: WireTable) -> None:
         if self._finalized:
             raise RuntimeError("validator already finalized")
-        nets = t.nets
+        if self._node_idx is None:
+            self._build_indexes()
+        codes = self._net_codes(t)
         tmp = ValidationReport(ok=True)
         _vt_layer_discipline(t, self.model, tmp)
         self._t_layer.add(tmp.num_errors, tmp.errors)
         tmp = ValidationReport(ok=True)
-        _vt_contiguity_terminals(t, self.nodes, tmp)
+        _vt_contiguity_terminals(t, self.nodes, tmp, index=self._node_idx)
         self._t_contig.add(tmp.num_errors, tmp.errors)
 
         ns = t.num_segments
@@ -915,46 +1120,40 @@ class ChunkedValidator:
             track = np.where(horiz == 1, t.y1, t.x1)
             lo = np.where(horiz == 1, t.x1, t.y1)
             hi = np.where(horiz == 1, t.x2, t.y2)
-            segnets = [nets[i] for i in w_of.tolist()]
             self._tracks.add(
                 _buckets_of(self.nb, t.layer, horiz, track),
-                [t.layer, horiz, track, lo, hi, w_of + self._wire_off],
-                segnets,
+                [t.layer, horiz, track, lo, hi, w_of + self._wire_off,
+                 codes[w_of]],
             )
         if self.check_vias:
-            self._feed_vias(t, w_of)
+            self._feed_vias(t, w_of, codes)
         if self.check_nodes:
             self._feed_avoid(t, w_of)
         if self.graph is not None:
-            for net in nets:
-                self._got[_canon_edge(net[0], net[1])] += 1
+            self._codes.append(codes.copy())
             if self._fast is not None and t.num_wires:
                 f = self._fast
-                rows = _canon_net_rows(nets, f["k"], f["kk"])
+                rows = _canon_net_rows(t.nets, f["k"], f["kk"])
                 if rows is None:
                     self._fast = None
                 else:
-                    f["uniq"], f["agg"] = Graph._aggregate_rows(
-                        np.concatenate([f["uniq"], rows]),
-                        np.concatenate([
-                            f["agg"], np.ones(len(rows), dtype=np.int64),
-                        ]),
-                    )
+                    _fast_add(f, rows, np.ones(len(rows), dtype=np.int64))
+        self._spill.flush()
         self._wire_off += t.num_wires
 
-    def _feed_vias(self, t: WireTable, w_of: np.ndarray) -> None:
-        nets = t.nets
+    def _feed_vias(
+        self, t: WireTable, w_of: np.ndarray, codes: np.ndarray
+    ) -> None:
         paths = t.paths()
         n_gw = int((~paths.bad).sum())
         cx, cy, zlo, zhi, cw = _vt_columns(t)
         ncol = len(cx)
         n_bend = ncol - 2 * n_gw
-        colnets = [nets[i] for i in cw.tolist()]
         if ncol:
+            colcodes = codes[cw]
             self._cols.add(
                 _buckets_of(self.nb, cx, cy),
-                [cx, cy, zlo, zhi, cw + self._wire_off],
-                colnets,
+                [cx, cy, zlo, zhi, cw + self._wire_off, colcodes],
             )
             # section (starts / ends / bends) + global position within the
             # section reproduce the monolithic query order across chunks
@@ -972,12 +1171,12 @@ class ChunkedValidator:
             qj = ql - zlo[qc]
             qsec = sec[qc]
             qpos = pos[qc]
+            qcode = colcodes[qc]
             gqw = qw + self._wire_off
             for s in (0, 1, 2):
                 qm = np.flatnonzero(qsec == s)
                 if not qm.size:
                     continue
-                qnets = [colnets[i] for i in qc[qm].tolist()]
                 for is_h in (True, False):
                     self._qrys[(is_h, s)].add(
                         _buckets_of(
@@ -985,9 +1184,8 @@ class ChunkedValidator:
                         ),
                         [
                             ql[qm], qx[qm], qy[qm], gqw[qm],
-                            qpos[qm], qj[qm],
+                            qpos[qm], qj[qm], qcode[qm],
                         ],
-                        qnets,
                     )
         horiz = t.is_horizontal
         for is_h in (True, False):
@@ -1005,8 +1203,8 @@ class ChunkedValidator:
                     (t.x1 if is_h else t.y1)[si],
                     (t.x2 if is_h else t.y2)[si],
                     sw + self._wire_off,
+                    codes[sw],
                 ],
-                [nets[i] for i in sw.tolist()],
             )
         # terminals of good wires, interleaved start/end in wire order —
         # the global seq reproduces the monolithic arrival tiebreak
@@ -1021,12 +1219,10 @@ class ChunkedValidator:
             ty = np.empty(2 * n2, dtype=np.int64)
             tx[0::2], tx[1::2] = sx, ex
             ty[0::2], ty[1::2] = sy, ey
-            tw = np.repeat(gw_idx, 2)
             seq = self._term_count + np.arange(2 * n2, dtype=np.int64)
             self._terms.add(
                 _buckets_of(self.nb, tx, ty),
-                [tx, ty, seq, tw + self._wire_off],
-                [nets[i] for i in tw.tolist()],
+                [tx, ty, seq, np.repeat(codes[gw_idx], 2)],
             )
         self._gw_count += n_gw
         self._bend_count += n_bend
@@ -1089,45 +1285,37 @@ def _sweep_job(payload: Tuple, be=None) -> Tuple[int, List[Tuple[Tuple, str]]]:
     ``(kind, is_h, parts_dict[, backend_name])``.  The job reloads its
     own spill parts, so a process-pool worker ships only paths; the
     serial path calls it inline with the validator's backend.  Returns
-    ``(count, keyed_messages)``."""
+    ``(count, keyed_messages)``, nets in the messages as
+    :class:`_NetRef` placeholders."""
     kind, is_h, parts = payload[0], payload[1], payload[2]
     if be is None:
         be = get_backend(payload[3] if len(payload) > 3 else None)
     if kind == "tracks":
-        cols, objs = _load_parts(parts["rows"], 6)
-        layer, horiz, track, lo, hi, gw = cols
+        layer, horiz, track, lo, hi, gw, code = _load_parts(parts["rows"], 7)
         return _track_overlap_sweep(
-            layer, horiz, track, lo, hi, gw, lambda r: objs[r], be=be
+            layer, horiz, track, lo, hi, gw, _refs(code), be=be
         )
     if kind == "viacol":
-        cols, objs = _load_parts(parts["rows"], 5)
-        cx, cy, zlo, zhi, gcw = cols
-        return _via_col_sweep(
-            cx, cy, zlo, zhi, gcw, lambda r: objs[r], be=be
-        )
+        cx, cy, zlo, zhi, gcw, code = _load_parts(parts["rows"], 6)
+        return _via_col_sweep(cx, cy, zlo, zhi, gcw, _refs(code), be=be)
     if kind == "viaseg":
-        s_cols, s_objs = _load_parts(parts["seg"], 5)
+        s_lay, s_fix, s_lo, s_hi, s_gw, s_code = _load_parts(parts["seg"], 6)
         qcols: List[List[np.ndarray]] = []
-        qobjs: List = []
         qsecs: List[np.ndarray] = []
         for sect in (0, 1, 2):
             pl = parts[f"q{sect}"]
             if not pl:
                 continue
-            qc, qo = _load_parts(pl, 6)
+            qc = _load_parts(pl, 7)
             qcols.append(qc)
-            qobjs.extend(qo)
             qsecs.append(np.full(len(qc[0]), sect, dtype=np.int64))
-        ql, qx, qy, gqw, qpos, qj = (
-            np.concatenate([qc[i] for qc in qcols]) for i in range(6)
+        ql, qx, qy, gqw, qpos, qj, qcode = (
+            np.concatenate([qc[i] for qc in qcols]) for i in range(7)
         )
         qsec = np.concatenate(qsecs)
-        s_lay, s_fix, s_lo, s_hi, s_gw = s_cols
         c, keyed = _via_seg_orientation(
-            s_lay, s_fix, s_lo, s_hi, s_gw,
-            lambda r: s_objs[r],
-            ql, qx, qy, gqw,
-            lambda i: qobjs[i],
+            s_lay, s_fix, s_lo, s_hi, s_gw, _refs(s_code),
+            ql, qx, qy, gqw, _refs(qcode),
             is_h, be=be,
         )
         return c, [
@@ -1136,18 +1324,12 @@ def _sweep_job(payload: Tuple, be=None) -> Tuple[int, List[Tuple[Tuple, str]]]:
         ]
     if kind != "terms":
         raise ValueError(f"unknown sweep kind {kind!r}")
-    cols, objs = _load_parts(parts["rows"], 4)
-    tx, ty, seq, _gtw = cols
+    tx, ty, seq, code = _load_parts(parts["rows"], 4)
     order = np.lexsort((seq, ty, tx))
-    X, Y, S_ = tx[order], ty[order], seq[order]
-    onets = [objs[i] for i in order.tolist()]
-    ids: Dict = {}
-    N_ = np.fromiter(
-        (ids.setdefault(o, len(ids)) for o in onets),
-        np.int64, len(onets),
-    )
+    X, Y, S_, C = tx[order], ty[order], seq[order], code[order]
+    # codes are injective, so code equality is net equality
     same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
-    err = same & (N_[1:] != N_[:-1])
+    err = same & (C[1:] != C[:-1])
     c = int(err.sum())
     if not c:
         return 0, []
@@ -1158,7 +1340,7 @@ def _sweep_job(payload: Tuple, be=None) -> Tuple[int, List[Tuple[Tuple, str]]]:
         p = (int(X[i]), int(Y[i]))
         keyed.append(((p[0], p[1], int(S_[i])), (
             f"terminal point {p} shared by wires "
-            f"{onets[i - 1]} and {onets[i]}"
+            f"{_NetRef(C[i - 1])} and {_NetRef(C[i])}"
         )))
     return c, keyed
 
@@ -1199,7 +1381,8 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
     serial path, on a process pool for the parallel one.  The assembly
     (check order, keyed-message re-sort, per-orientation and global
     caps) is identical either way, which is what keeps the parallel
-    report byte-identical to the serial one.
+    report byte-identical to the serial one.  Nets in the sweep messages
+    are decoded here, and only for the messages the report keeps.
     """
     rep = ValidationReport(ok=True)
     rep.checks_run.append("layer-discipline")
@@ -1211,23 +1394,25 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
     by_kind: Dict[Tuple, _KeyedTally] = defaultdict(_KeyedTally)
     for p, res in zip(payloads, results):
         by_kind[(p[0], p[1])].add(*res)
+
+    def swept(kind: str) -> None:
+        kt = by_kind[(kind, None)]
+        _bulk(rep, kt.count, _decode_msgs(kt.merged(), v.decode))
+
     rep.checks_run.append("track-overlap")
-    kt = by_kind[("tracks", None)]
-    _bulk(rep, kt.count, iter(kt.merged()))
+    swept("tracks")
     if v.check_vias:
         rep.checks_run.append("via-conflicts")
-        kt = by_kind[("viacol", None)]
-        _bulk(rep, kt.count, iter(kt.merged()))
+        swept("viacol")
         seg_count = 0
         seg_msgs: List[str] = []
         for is_h in (True, False):
             kt = by_kind[("viaseg", is_h)]
             seg_count += kt.count
             seg_msgs.extend(kt.merged()[:MAX_ERRORS_KEPT])
-        _bulk(rep, seg_count, iter(seg_msgs))
+        _bulk(rep, seg_count, _decode_msgs(seg_msgs, v.decode))
         rep.checks_run.append("terminals-distinct")
-        kt = by_kind[("terms", None)]
-        _bulk(rep, kt.count, iter(kt.merged()))
+        swept("terms")
     if v.check_nodes:
         _vt_nodes_disjoint(v.nodes, rep, be=v.be)
         rep.checks_run.append("wires-avoid-nodes")
@@ -1242,6 +1427,7 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
         if v._wire_off == 0:
             f = None
         if f is not None:
+            _fast_fold(f)
             want_rows = f["want_rows"]
             if (
                 f["uniq"].shape == want_rows.shape
@@ -1252,7 +1438,9 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
                     want_rows, f["k"], f["kk"], placed
                 )
         if not ok:
-            _realizes_fallback(v._got, placed, v.graph, rep)
+            _realizes_fallback(
+                _code_counter(v._codes, v.decode), placed, v.graph, rep
+            )
     v.close()
     return rep
 
@@ -1268,6 +1456,7 @@ def validate_table_chunked(
     num_buckets: int = 8,
     spill_dir: Optional[str] = None,
     workers: Optional[int] = None,
+    net_decoder: Optional[Callable[[int], Hashable]] = None,
 ) -> ValidationReport:
     """Validate a chunk stream; byte-identical report to running
     :func:`~repro.layout.validate.validate_table` on the concatenation.
@@ -1276,6 +1465,8 @@ def validate_table_chunked(
     out over a process pool — a :class:`ChunkedBuild` with a recipe
     streams descriptors, anything else falls back to buffering the
     chunks — with a report still byte-identical to the serial one.
+    ``net_decoder`` decodes the chunks' ``net_code`` column (serial path
+    only); without it the chunks' nets are interned.
     """
     if workers is not None:
         from .chunked_parallel import parallel_validate
@@ -1287,7 +1478,7 @@ def validate_table_chunked(
     v = ChunkedValidator(
         nodes, model, graph=graph, check_nodes=check_nodes,
         check_vias=check_vias, backend=backend, num_buckets=num_buckets,
-        spill_dir=spill_dir,
+        spill_dir=spill_dir, net_decoder=net_decoder,
     )
     try:
         for t in chunks:

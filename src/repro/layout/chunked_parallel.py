@@ -8,26 +8,33 @@ that stream out over a ``multiprocessing`` pool while keeping the final
 (pinned by ``tests/test_chunked_parallel.py``):
 
 * the producer splits the build's picklable chunk *descriptors* into one
-  contiguous span per worker, so span order equals emission order;
+  contiguous span per worker, cut by the descriptors' work weights, so
+  span order equals emission order and spans carry similar work;
 * bulk inputs every chunk needs (track assignments, block-id arrays) are
   published once through the :mod:`repro.backend.shm` handoff and
   attached zero-copy in each worker;
 * each worker materialises and validates its span with a private
   :class:`ChunkedValidator` in *span-local* numbering (wire offsets,
   via-section positions, terminal sequence all start at 0) and returns
-  its tallies, spill-part paths and counters;
+  its tallies, spill parts (byte ranges of raw int64 ``.npy`` files),
+  counters and fed net codes;
+* nets travel as int64 codes in one global code space: recipe builds
+  emit the builder's packed codes, and any other source is interned
+  once in the parent before the span split;
 * the reducer computes each worker's global offsets by prefix sum and
   registers the spilled parts with per-column additive rebase vectors
-  (applied at reload, never rewriting bytes), merges the streaming
-  tallies and realizes-graph accumulators in span order, then runs the
-  very same :func:`~repro.layout.chunked._reduce_finalize` the serial
-  path uses — with the bucket sweeps themselves dispatched to the pool.
+  (applied at reload, never rewriting bytes; the net-code column never
+  shifts), merges the streaming tallies and realizes-graph accumulators
+  in span order, then runs the very same
+  :func:`~repro.layout.chunked._reduce_finalize` the serial path uses —
+  with the bucket sweeps themselves dispatched to the pool and only the
+  kept messages' nets decoded in the parent.
 
 Determinism argument, check by check: streaming tallies cap their first
 20 messages and chunks-in-span-order equals chunks-in-emission-order;
 grouped checks sort by globally-unique keys after rebase, so partition
-boundaries are invisible; the realizes counter merges spans in order,
-preserving first-occurrence ordering for the fallback's message
+boundaries are invisible; the realizes codes concatenate in span
+order, preserving first-occurrence ordering for the fallback's message
 selection; and the array fast path folds through the associative
 ``Graph._aggregate_rows``.
 
@@ -44,6 +51,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -55,6 +63,8 @@ from .chunked import (
     ChunkStats,
     ChunkedBuild,
     ChunkedValidator,
+    _fast_add,
+    _fast_fold,
     _fast_stub,
     _fast_template,
     _reduce_finalize,
@@ -62,6 +72,7 @@ from .chunked import (
     chunked_collinear_table,
     chunked_grid_table,
 )
+from .netcode import NetInterner
 from .validate import ValidationReport
 
 __all__ = ["parallel_validate"]
@@ -103,36 +114,48 @@ def _backend_name(backend) -> Optional[str]:
     return None
 
 
-def _stores_of(v: ChunkedValidator) -> Dict[str, object]:
-    d = {"tracks": v._tracks}
-    if v.check_vias:
-        d["viacol"] = v._cols
-        d["seg_h"] = v._segs[True]
-        d["seg_v"] = v._segs[False]
-        for is_h in (True, False):
-            for s in (0, 1, 2):
-                d[f"qry_{'h' if is_h else 'v'}_{s}"] = v._qrys[(is_h, s)]
-        d["terms"] = v._terms
-    return d
-
-
 def _offsets_for(
     name: str, w: int, gw: int, bend: int, term: int
 ) -> Tuple[int, ...]:
     """Per-column rebase vector lifting a worker's span-local spill rows
     into global numbering: wire ids shift by the span's wire offset,
     via-query section positions by the start/end (sections 0/1) or bend
-    (section 2) count, terminal arrival sequence by the terminal count."""
+    (section 2) count, terminal arrival sequence by the terminal count.
+    The trailing net-code column is already global and never shifts."""
     if name == "tracks":
-        return (0, 0, 0, 0, 0, w)
+        return (0, 0, 0, 0, 0, w, 0)
     if name in ("viacol", "seg_h", "seg_v"):
-        return (0, 0, 0, 0, w)
+        return (0, 0, 0, 0, w, 0)
     if name.startswith("qry_"):
         sec = int(name[-1])
-        return (0, 0, 0, w, gw if sec < 2 else bend, 0)
+        return (0, 0, 0, w, gw if sec < 2 else bend, 0, 0)
     if name == "terms":
-        return (0, 0, term, w)
+        return (0, 0, term, 0)
     raise ValueError(f"unknown spill store {name!r}")
+
+
+def _span_bounds(weights: List[int], w: int) -> List[int]:
+    """Cut ``len(weights)`` items into ``w`` contiguous, non-empty spans
+    of near-equal total weight; returns the ``w + 1`` cut points."""
+    n = len(weights)
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    total = float(cum[-1])
+    bounds = [0]
+    for i in range(1, w):
+        target = total * i / w
+        # cut after the item whose prefix sum lands nearest the target
+        j = int(np.searchsorted(cum, target))
+        if j > 0 and target - cum[j - 1] <= cum[min(j, n - 1)] - target:
+            j -= 1
+        bounds.append(min(max(j + 1, bounds[-1] + 1), n - (w - i)))
+    bounds.append(n)
+    return bounds
+
+
+def _span_decoder(code: int):
+    """Net decoder of a buffered span's validator: its tables carry codes
+    from the parent's interner, and span validators never decode."""
+    raise RuntimeError("span workers do not decode net codes")
 
 
 def _feed_span(payload: Tuple) -> Dict:
@@ -148,6 +171,7 @@ def _feed_span(payload: Tuple) -> Dict:
     if span[0] == "recipe":
         build = _build_from_recipe(span[1])
         nodes, model = build.nodes, build.model
+        decoder = build.net_decoder
         views = attach_cached(pack) if pack is not None else None
 
         def tables():
@@ -157,6 +181,7 @@ def _feed_span(payload: Tuple) -> Dict:
                     yield t
     else:
         nodes, model = nodes_model
+        decoder = _span_decoder
 
         def tables():
             yield from span[1]
@@ -165,6 +190,7 @@ def _feed_span(payload: Tuple) -> Dict:
         nodes, model, graph=None, check_nodes=check_nodes,
         check_vias=check_vias, backend=backend_name, num_buckets=nb,
         spill_dir=os.path.join(spill_root, f"w{widx:03d}"),
+        net_decoder=decoder,
     )
     if has_graph:
         # sentinel: feed() only tests `is not None`; workers never finalize
@@ -183,12 +209,16 @@ def _feed_span(payload: Tuple) -> Dict:
         "layer": (v._t_layer.count, v._t_layer.msgs),
         "contig": (v._t_contig.count, v._t_contig.msgs),
         "avoid": (v._t_avoid.count, v._t_avoid.msgs),
-        "parts": {name: s.parts for name, s in _stores_of(v).items()},
-        "got": v._got if has_graph else None,
+        "parts": {name: s.parts for name, s in v._stores.items()},
+        "codes": (
+            np.concatenate(v._codes) if v._codes
+            else np.zeros(0, dtype=np.int64)
+        ),
         "fast": None,
         "stats": None,
     }
     if v._fast is not None:
+        _fast_fold(v._fast)
         out["fast"] = (v._fast["uniq"], v._fast["agg"])
     if st is not None:
         out["stats"] = (
@@ -203,25 +233,22 @@ def _merge_results(
 ) -> None:
     """Fold worker results into the reducer validator in span order."""
     w_off = gw_off = bend_off = term_off = 0
-    stores = _stores_of(v)
+    stores = v._stores
     for r in results:
         v._t_layer.add(*r["layer"])
         v._t_contig.add(*r["contig"])
         v._t_avoid.add(*r["avoid"])
-        if has_graph and r["got"] is not None:
-            # span-order update keeps first-occurrence insertion order,
-            # which the realizes fallback's message selection depends on
-            v._got.update(r["got"])
+        if has_graph:
+            # span order keeps the codes' first-occurrence order, which
+            # the realizes fallback's message selection depends on
+            v._codes.append(r["codes"])
         if v._fast is not None:
             if r["fast"] is None:
                 v._fast = None  # some chunk fell off the array fast path
             else:
                 uniq, agg = r["fast"]
                 if len(uniq):
-                    v._fast["uniq"], v._fast["agg"] = Graph._aggregate_rows(
-                        np.concatenate([v._fast["uniq"], uniq]),
-                        np.concatenate([v._fast["agg"], agg]),
-                    )
+                    _fast_add(v._fast, uniq, agg)
         for name, parts in r["parts"].items():
             store = stores[name]
             off = _offsets_for(name, w_off, gw_off, bend_off, term_off)
@@ -230,7 +257,7 @@ def _merge_results(
                 if not parts[k]:
                     continue
                 if rebase:
-                    store.parts[k].extend((p, off) for p in parts[k])
+                    store.parts[k].extend(p + (off,) for p in parts[k])
                 else:
                     store.parts[k].extend(parts[k])
         cw, cgw, cbend, cterm = r["counts"]
@@ -310,19 +337,28 @@ def parallel_validate(
         build is not None
         and build.recipe is not None
         and build.descriptors is not None
+        and build.net_decoder is not None
     )
     if recipe_mode:
         items: List = build.descriptors
-    elif build is not None:
-        items = list(build.chunks())
+        decoder = build.net_decoder
+        weights = build.descriptor_weights or [1] * len(items)
     else:
-        items = list(source)
+        # buffered: one parent-side interner gives every span's tables
+        # codes in a single global code space before the split
+        decoder = NetInterner()
+        items = [
+            replace(t, net_code=decoder.codes(t.nets))
+            for t in (build.chunks() if build is not None else source)
+        ]
+        weights = [max(t.num_wires, 1) for t in items]
     n_items = len(items)
     if n_items == 0:
         v = ChunkedValidator(
             nodes, model, graph=graph, check_nodes=check_nodes,
             check_vias=check_vias, backend=backend,
             num_buckets=num_buckets, spill_dir=spill_dir,
+            net_decoder=decoder,
         )
         try:
             rep = v.finalize()
@@ -332,10 +368,7 @@ def parallel_validate(
             return rep, ChunkStats().summary(nodes, model)
         return rep
     w = min(w, n_items)
-    base, rem = divmod(n_items, w)
-    bounds = [0]
-    for i in range(w):
-        bounds.append(bounds[-1] + base + (1 if i < rem else 0))
+    bounds = _span_bounds(weights, w)
     backend_name = _backend_name(backend)
     fast_tpl = _fast_template(graph) if graph is not None else None
     fast_kk = (fast_tpl["k"], fast_tpl["kk"]) if fast_tpl is not None else None
@@ -381,6 +414,7 @@ def parallel_validate(
             check_vias=check_vias, backend=backend,
             num_buckets=num_buckets,
             spill_dir=os.path.join(root, "reduce"),
+            net_decoder=decoder,
         )
         _merge_results(v, results, graph is not None)
         v._finalized = True

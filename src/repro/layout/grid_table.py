@@ -29,7 +29,7 @@ channel groups in sorted key order).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,12 +39,13 @@ from .collinear import TrackOrder, track_assignment
 from .collinear_generic import left_edge_tracks
 from .geometry import Rect
 from .grid_scheme import GridDims, _column_union_graph
+from .netcode import GRID_KINDS, NetCodec
 from .tracks import TrackGrouping, base_layer_pair
 from .wiretable import WireTable
 
 __all__ = ["build_grid_nodes", "build_grid_table"]
 
-_KIND = ("sc", "ss")  # index = kind code; string sort order 'sc' < 'ss'
+_KIND = GRID_KINDS  # index = kind code; string sort order 'sc' < 'ss'
 _SLOT_OUT = (2, 1)  # by kind code (sc, ss); 'cross' shares slot 1
 _SLOT_IN = (4, 3)
 
@@ -83,11 +84,15 @@ def _pair_layers(L: int, horizontal: bool, group: np.ndarray):
 class _Cat:
     """One category of wires with a uniform per-wire segment count."""
 
-    __slots__ = ("nets", "segs", "keys")
+    __slots__ = ("nets", "codes", "segs", "keys")
 
-    def __init__(self, nets: List, segs: np.ndarray, keys: np.ndarray) -> None:
-        # segs: (nw, c, 5) int64; keys: (nw, 6) int64
-        self.nets = nets
+    def __init__(
+        self, nets: Tuple[List, Optional[np.ndarray]], segs: np.ndarray,
+        keys: np.ndarray,
+    ) -> None:
+        # nets: (net tuples, net codes or None); segs: (nw, c, 5) int64;
+        # keys: (nw, 6) int64
+        self.nets, self.codes = nets
         self.segs = segs
         self.keys = keys
 
@@ -98,6 +103,7 @@ class _Cat:
             self.nets,
             np.arange(nw + 1, dtype=np.int64) * c,
             flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
+            net_code=self.codes,
         )
 
 
@@ -164,6 +170,7 @@ def _grid_cats(
     recirculating: bool,
     bids: np.ndarray,
     phases: frozenset,
+    codec: Optional[NetCodec] = None,
 ) -> List[_Cat]:
     """Wire categories for the block subset ``bids``, restricted to the
     requested emission phases.
@@ -181,6 +188,9 @@ def _grid_cats(
     :mod:`repro.layout.chunked` exploits: ``bids`` must cover whole
     blocks for ``intra``, whole grid columns for ``inter-col``, and whole
     grid rows for ``inter-row``.
+
+    With a ``codec`` every category also carries the packed ``net_code``
+    of its nets (see :mod:`repro.layout.netcode`).
     """
     want_intra = "intra" in phases
     want_col = "inter-col" in phases
@@ -227,16 +237,24 @@ def _grid_cats(
             k[:, i] = c
         return k
 
-    def net_list(a, b, sa: int, sbb: int, kind) -> List:
-        """Nets ``((a, sa), (b, sbb), kind)``; ``kind`` is a string or a
-        per-wire code array into ``_KIND``."""
+    def net_list(a, b, sa, sbb, kind) -> Tuple[List, Optional[np.ndarray]]:
+        """Nets ``((a, sa), (b, sbb), kind)`` and their codes (``None``
+        without a codec); ``kind`` is a string or a per-wire code array
+        into ``_KIND``; ``sa``/``sbb`` are ints or per-wire arrays."""
+        kc = _KIND.index(kind) if isinstance(kind, str) else kind
+        codes = None if codec is None else codec.pack(a, sa, b, sbb, kc)
         al, bl = a.tolist(), b.tolist()
+        if isinstance(sa, np.ndarray):
+            return [
+                ((x, p), (y, q), _KIND[k]) for x, p, y, q, k in zip(
+                    al, sa.tolist(), bl, sbb.tolist(), kc.tolist()
+                )
+            ], codes
         if isinstance(kind, str):
-            return [((x, sa), (y, sbb), kind) for x, y in zip(al, bl)]
-        kl = kind.tolist()
+            return [((x, sa), (y, sbb), kind) for x, y in zip(al, bl)], codes
         return [
-            ((x, sa), (y, sbb), _KIND[kc]) for x, y, kc in zip(al, bl, kl)
-        ]
+            ((x, sa), (y, sbb), _KIND[k]) for x, y, k in zip(al, bl, kc.tolist())
+        ], codes
 
     # stub accumulators (one row per inter-block link endpoint)
     o_u: List[np.ndarray] = []
@@ -624,11 +642,8 @@ def _grid_cats(
                     [i0x[mm], iy1[mm], i2x[mm], iy1[mm],
                      np.full(nw, bh, dtype=np.int64)], axis=1)
                 sel = np.flatnonzero(mrow)[mm]
-                nets = [
-                    ((int(a), int(b)), (int(c), int(b) + 1), _KIND[int(k)])
-                    for a, b, c, k in zip(u[sel], s_[sel], vrow[sel],
-                                          kc[sel])
-                ]
+                nets = net_list(u[sel], vrow[sel], s_[sel], s_[sel] + 1,
+                                kc[sel])
                 cats.append(_Cat(nets, segs, inter_keys(mrow)[mm]))
 
         # column channels (levels >= 3)
@@ -698,11 +713,8 @@ def _grid_cats(
                     [i1x[mm], iy1[mm], i3x[mm], iy1[mm],
                      np.full(nw, bh, dtype=np.int64)], axis=1)
                 sel = np.flatnonzero(mcol)[mm]
-                nets = [
-                    ((int(a), int(b)), (int(c), int(b) + 1), _KIND[int(k)])
-                    for a, b, c, k in zip(u[sel], s_[sel], vrow[sel],
-                                          kc[sel])
-                ]
+                nets = net_list(u[sel], vrow[sel], s_[sel], s_[sel] + 1,
+                                kc[sel])
                 cats.append(_Cat(nets, segs, inter_keys(mcol)[mm]))
 
     return cats

@@ -267,7 +267,13 @@ def _canon_net_rows(nets, k, kk):
 def _staged_nodes_placed(want_rows, k, kk, placed) -> bool:
     # a purely staged graph has no isolated nodes, so the edge endpoints
     # are exactly its node set
-    gnodes = np.unique(want_rows.reshape(-1, kk), axis=0)
+    ends = want_rows.reshape(-1, kk)
+    packed = Graph._pack_rows(ends) if len(ends) else None
+    if packed is not None:
+        codes, mins, ranges = packed
+        gnodes = Graph._unpack_codes(np.unique(codes), mins, ranges)
+    else:
+        gnodes = np.unique(ends, axis=0)
     if k:
         return all(t in placed for t in map(tuple, gnodes.tolist()))
     return all(x in placed for x in gnodes[:, 0].tolist())
@@ -593,7 +599,21 @@ def _vt_layer_discipline(t, model, rep: ValidationReport) -> None:
     _bulk(rep, count, msgs())
 
 
-def _vt_contiguity_terminals(t, nodes, rep: ValidationReport) -> None:
+def _node_index(nodes):
+    """Node lookup of :func:`_vt_contiguity_terminals`: ``(key -> row,
+    x, y, x2, y2)`` with one array row per node.  Streaming callers build
+    it once and pass it to every chunk."""
+    nid = {k: i for i, k in enumerate(nodes.keys())}
+    xywh = np.array(
+        [(r.x, r.y, r.w, r.h) for r in nodes.values()], dtype=np.int64
+    ).reshape(-1, 4)
+    x, y = xywh[:, 0], xywh[:, 1]
+    return nid, x, y, x + xywh[:, 2], y + xywh[:, 3]
+
+
+def _vt_contiguity_terminals(
+    t, nodes, rep: ValidationReport, index=None
+) -> None:
     rep.checks_run.append("contiguity-terminals")
     nw = t.num_wires
     if nw == 0:
@@ -603,15 +623,10 @@ def _vt_contiguity_terminals(t, nodes, rep: ValidationReport) -> None:
     sy = paths.py[paths.pt_indptr[:-1]]
     ex = paths.px[paths.pt_indptr[1:] - 1]
     ey = paths.py[paths.pt_indptr[1:] - 1]
-    keys = list(nodes.keys())
-    nid = {k: i for i, k in enumerate(keys)}
+    nid, rx, ry, rx2, ry2 = index if index is not None else _node_index(nodes)
     ui = np.fromiter((nid.get(net[0], -1) for net in t.nets), np.int64, nw)
     vi = np.fromiter((nid.get(net[1], -1) for net in t.nets), np.int64, nw)
-    if keys:
-        rx = np.fromiter((r.x for r in nodes.values()), np.int64, len(keys))
-        ry = np.fromiter((r.y for r in nodes.values()), np.int64, len(keys))
-        rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, len(keys))
-        ry2 = np.fromiter((r.y2 for r in nodes.values()), np.int64, len(keys))
+    if nid:
 
         def on_bd(px_, py_, ridx):
             has = ridx >= 0
@@ -1052,23 +1067,28 @@ def _vt_nodes_disjoint(nodes, rep: ValidationReport, be=None) -> None:
 
 class _BandIndex:
     """Vectorized point-in-band + interval-overlap queries over node
-    bands (rects grouped by identical fixed-axis interval)."""
+    bands (rects grouped by identical fixed-axis interval).
 
-    def __init__(self, bands: Dict[Tuple[int, int], List[Tuple[int, int]]]) -> None:
-        items = sorted(bands.items())
-        self.a = np.array([k[0] for k, _v in items], dtype=np.int64)
-        self.b = np.array([k[1] for k, _v in items], dtype=np.int64)
-        self.disjoint = bool(np.all(self.a[1:] >= self.b[:-1])) if len(items) > 1 else True
-        ivs = [sorted(v) for _k, v in items]
-        self.iv_lens = np.array([len(v) for v in ivs], dtype=np.int64)
-        self.iv_start = np.zeros(len(items), dtype=np.int64)
-        np.cumsum(self.iv_lens[:-1], out=self.iv_start[1:])
-        flat = [iv for lst in ivs for iv in lst]
-        self.iv1 = np.array([p[0] for p in flat], dtype=np.int64)
-        iv2 = np.array([p[1] for p in flat], dtype=np.int64)
-        gid = np.repeat(np.arange(len(items), dtype=np.int64), self.iv_lens)
-        self.xmin = int(self.iv1.min()) if len(flat) else 0
-        self.xband = (int(iv2.max()) - self.xmin + 1) if len(flat) else 1
+    Built from per-rect arrays: rect ``i`` spans ``[a[i], b[i]]`` on the
+    fixed axis and ``[iv1[i], iv2[i]]`` on the other.  Bands sort by
+    ``(a, b)``, intervals within a band by ``(iv1, iv2)``.
+    """
+
+    def __init__(self, a, b, iv1, iv2) -> None:
+        order = np.lexsort((iv2, iv1, b, a))
+        a, b = a[order], b[order]
+        self.iv1 = iv1[order]
+        iv2 = iv2[order]
+        n = len(order)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        self.a, self.b = a[new], b[new]
+        self.disjoint = bool(np.all(self.a[1:] >= self.b[:-1]))
+        self.iv_start = np.flatnonzero(new)
+        self.iv_lens = np.diff(np.append(self.iv_start, n))
+        gid = np.cumsum(new) - 1
+        self.xmin = int(self.iv1.min()) if n else 0
+        self.xband = (int(iv2.max()) - self.xmin + 1) if n else 1
         self.key = gid * self.xband + (self.iv1 - self.xmin)
         self.cm = np.maximum.accumulate((iv2 - self.xmin) + gid * self.xband)
 
@@ -1110,25 +1130,32 @@ class _BandIndex:
         return out
 
 
-def _vt_wires_avoid_nodes(t, nodes, rep: ValidationReport) -> None:
+def _node_bands(index) -> Dict[bool, _BandIndex]:
+    """Band indexes over the nodes of a :func:`_node_index`: horizontal
+    segments query bands of equal ``[y, y2]``, vertical ones bands of
+    equal ``[x, x2]``."""
+    _nid, rx, ry, rx2, ry2 = index
+    return {True: _BandIndex(ry, ry2, rx, rx2),
+            False: _BandIndex(rx, rx2, ry, ry2)}
+
+
+def _vt_wires_avoid_nodes(
+    t, nodes, rep: ValidationReport, index=None
+) -> None:
     rep.checks_run.append("wires-avoid-nodes")
     if not nodes or t.num_segments == 0:
         return
-    ybands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-    xbands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-    for r in nodes.values():
-        ybands[(r.y, r.y2)].append((r.x, r.x2))
-        xbands[(r.x, r.x2)].append((r.y, r.y2))
+    bands = _node_bands(index if index is not None else _node_index(nodes))
     horiz = t.is_horizontal
     hit = np.zeros(t.num_segments, dtype=bool)
-    for is_h, bands in ((True, ybands), (False, xbands)):
+    for is_h in (True, False):
         si = np.flatnonzero(horiz if is_h else ~horiz)
         if not si.size:
             continue
         fix = (t.y1 if is_h else t.x1)[si]
         lo = (t.x1 if is_h else t.y1)[si]
         hi = (t.x2 if is_h else t.y2)[si]
-        hit[si] = _BandIndex(bands).hits(fix, lo, hi)
+        hit[si] = bands[is_h].hits(fix, lo, hi)
     count = int(hit.sum())
     if not count:
         return
@@ -1164,8 +1191,9 @@ def validate_table(
     verdicts as :func:`validate_layout_legacy`)."""
     be = get_backend(backend)
     rep = ValidationReport(ok=True)
+    index = _node_index(nodes)
     _vt_layer_discipline(table, model, rep)
-    _vt_contiguity_terminals(table, nodes, rep)
+    _vt_contiguity_terminals(table, nodes, rep, index=index)
     _vt_track_overlaps(table, rep, be=be)
     if check_vias:
         rep.checks_run.append("via-conflicts")
@@ -1175,7 +1203,7 @@ def validate_table(
         _vt_terminals_distinct(table, rep)
     if check_nodes:
         _vt_nodes_disjoint(nodes, rep, be=be)
-        _vt_wires_avoid_nodes(table, nodes, rep)
+        _vt_wires_avoid_nodes(table, nodes, rep, index=index)
     if graph is not None:
         _check_realizes_graph(table.nets, set(nodes), graph, rep)
     return rep

@@ -100,6 +100,12 @@ class WireTable:
     ``nets[w]`` is wire ``w``'s net tuple; its segments occupy rows
     ``indptr[w] : indptr[w + 1]`` of the coordinate/layer columns, in path
     order, normalized like :class:`Segment`.
+
+    ``net_code`` is an optional per-wire int64 column a builder may emit
+    beside ``nets`` (see :mod:`repro.layout.netcode`): an injective code
+    of each net that the streaming validator carries instead of the
+    tuple.  It is derived data — excluded from equality — and ``concat``,
+    ``permuted`` and ``slice_wires`` carry it along.
     """
 
     nets: List[Tuple]
@@ -109,6 +115,9 @@ class WireTable:
     x2: np.ndarray
     y2: np.ndarray
     layer: np.ndarray
+    net_code: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
     _paths: Optional[_Paths] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -131,6 +140,7 @@ class WireTable:
         y2: np.ndarray,
         layer: np.ndarray,
         normalize: bool = True,
+        net_code: Optional[np.ndarray] = None,
     ) -> "WireTable":
         """Assemble from raw columns, normalizing endpoint order and
         validating the same invariants ``Segment`` enforces."""
@@ -153,8 +163,11 @@ class WireTable:
             if np.any(swap):
                 x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
                 y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
+        if net_code is not None and len(net_code) != len(nets):
+            raise ValueError("net_code does not match nets")
         return cls(nets=list(nets), indptr=indptr,
-                   x1=x1, y1=y1, x2=x2, y2=y2, layer=layer)
+                   x1=x1, y1=y1, x2=x2, y2=y2, layer=layer,
+                   net_code=net_code)
 
     @classmethod
     def from_wires(cls, wires: Sequence[Wire]) -> "WireTable":
@@ -180,10 +193,14 @@ class WireTable:
 
     @classmethod
     def concat(cls, tables: Sequence["WireTable"]) -> "WireTable":
-        """Concatenate tables, preserving wire order."""
+        """Concatenate tables, preserving wire order.  The result carries
+        ``net_code`` only when every non-empty input does."""
         tables = [t for t in tables if t.num_wires]
         if not tables:
             return cls.empty()
+        net_code = None
+        if all(t.net_code is not None for t in tables):
+            net_code = np.concatenate([t.net_code for t in tables])
         nets: List[Tuple] = []
         for t in tables:
             nets.extend(t.nets)
@@ -198,6 +215,7 @@ class WireTable:
             x2=np.concatenate([t.x2 for t in tables]),
             y2=np.concatenate([t.y2 for t in tables]),
             layer=np.concatenate([t.layer for t in tables]),
+            net_code=net_code,
         )
 
     def permuted(self, order: np.ndarray, backend=None) -> "WireTable":
@@ -219,6 +237,7 @@ class WireTable:
             x1=be.gather(self.x1, idx), y1=be.gather(self.y1, idx),
             x2=be.gather(self.x2, idx), y2=be.gather(self.y2, idx),
             layer=be.gather(self.layer, idx),
+            net_code=None if self.net_code is None else self.net_code[order],
         )
 
     def slice_wires(self, lo: int, hi: int) -> "WireTable":
@@ -237,6 +256,7 @@ class WireTable:
             x1=self.x1[s0:s1], y1=self.y1[s0:s1],
             x2=self.x2[s0:s1], y2=self.y2[s0:s1],
             layer=self.layer[s0:s1],
+            net_code=None if self.net_code is None else self.net_code[lo:hi],
         )
 
     # ------------------------------------------------------------------

@@ -517,12 +517,16 @@ def query(
     use_cache: bool = True,
     info: Optional[Dict[str, object]] = None,
     exec_params: Optional[Dict[str, object]] = None,
+    runner: Optional[Callable[[str, Callable[[], Dict]], Dict]] = None,
 ) -> Dict:
     """Answer a design query, serving from ``store`` when possible.
 
     Misses compute under the store's single-flight lock, so concurrent
     identical queries compute once.  ``info`` (if given) receives
     ``cache`` (``"hit"`` / ``"miss"`` / ``"off"``) and ``key``.
+    ``runner`` (if given) is called as ``runner(kind, fn)`` to run the
+    compute of a miss (and its store put); it must return ``fn()``.  The
+    threaded server uses it to choose the thread a compute runs on.
 
     Execution knobs (``memory_budget_bytes``, ``workers`` for
     ``layout``) may ride along inside ``params`` — the HTTP layer passes
@@ -546,19 +550,30 @@ def query(
     if info is None:
         info = {}
     info["key"] = key = cache_key(kind, p)
+    if runner is None:
+        runner = _run_inline
     if store is None or not use_cache:
         info["cache"] = "off"
-        return compute(kind, p, ex)[0]
+        return runner(kind, lambda: compute(kind, p, ex)[0])
     cached = store.get(kind, p)
     if cached is not None:
         info["cache"] = "hit"
         return cached
+
+    def fill() -> Dict:
+        result, arrays = compute(kind, p, ex)
+        store.put(kind, p, result, arrays)
+        return result
+
     with store.single_flight(key):
         cached = store.get(kind, p)  # the winner may have landed it
         if cached is not None:
             info["cache"] = "hit"
             return cached
-        result, arrays = compute(kind, p, ex)
-        store.put(kind, p, result, arrays)
+        result = runner(kind, fill)
     info["cache"] = "miss"
     return result
+
+
+def _run_inline(kind: str, fn: Callable[[], Dict]) -> Dict:
+    return fn()

@@ -5,7 +5,10 @@ NumPy, and ``repro serve`` needs nothing the test environment does not
 already have.  Threaded when the platform provides ``ThreadingHTTPServer``
 (the normal case), with a graceful single-threaded fallback otherwise;
 either way the artifact store's single-flight locking keeps concurrent
-identical misses from computing twice.
+identical misses from computing twice.  The server computes
+``layout`` misses one at a time on one long-lived thread (see
+:class:`ComputeLane`), so its peak memory is one layout's, whichever
+connections ask and however their misses overlap.
 
 Routes (all answers are canonical JSON — sorted keys, compact — so a
 warm hit is byte-identical to the cold compute that populated it; the
@@ -24,15 +27,18 @@ with ``{"error": ...}``; unknown routes ``404``; compute crashes ``500``.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from .handlers import QUERY_KINDS, QueryError, query
 from .store import SCHEMA_VERSION, ArtifactStore, canonical_json
 
-__all__ = ["ServiceHTTPHandler", "make_server", "serve"]
+__all__ = ["ComputeLane", "ServiceHTTPHandler", "make_server", "serve"]
 
 try:  # pragma: no cover - always present on CPython >= 3.7
     from http.server import ThreadingHTTPServer as _ServerBase
@@ -40,11 +46,49 @@ except ImportError:  # pragma: no cover - single-threaded fallback
     _ServerBase = HTTPServer
 
 
+class ComputeLane:
+    """Runs the misses of memory-heavy kinds serially on one thread.
+
+    A layout miss holds O(wires) arrays; two overlapping ones would hold
+    both.  Running them on one long-lived thread also keeps their
+    allocations in one malloc arena, so memory a finished layout freed
+    is reused by the next one instead of sitting in another thread's
+    arena.  A job runs in a copy of its caller's context.  Other kinds
+    run inline on the connection's thread.  Pass :meth:`run` as
+    ``query(runner=...)``; :meth:`close` joins the thread.
+    """
+
+    HEAVY_KINDS = frozenset({"layout"})
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pool: Optional[ThreadPoolExecutor] = None
+
+    def run(self, kind: str, fn: Callable[[], Dict]) -> Dict:
+        if kind not in self.HEAVY_KINDS:
+            return fn()
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-compute")
+            fut = self._pool.submit(contextvars.copy_context().run, fn)
+        return fut.result()
+
+    def close(self) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
 class ServiceHTTPHandler(BaseHTTPRequestHandler):
     """One design query per request; see the module docstring for routes."""
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # headers and body go out in separate writes; with Nagle on, the body
+    # of a keep-alive reply waits for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -76,6 +120,7 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
                 store=self.store,
                 use_cache=self.server.use_cache,
                 info=info,
+                runner=self.server.compute_lane.run,
             )
         except QueryError as e:
             self._send_json(400, {"error": str(e), "kind": kind})
@@ -134,6 +179,22 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
         return parts.path.rstrip("/") or "/", dict(parse_qsl(parts.query))
 
 
+class _LaneClosing:
+    """``server_close`` also joins the server's compute lane."""
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.compute_lane.close()
+
+
+class _ThreadedServer(_LaneClosing, _ServerBase):
+    pass
+
+
+class _SerialServer(_LaneClosing, HTTPServer):
+    pass
+
+
 def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
@@ -144,8 +205,9 @@ def make_server(
 ) -> HTTPServer:
     """A configured (but not yet serving) HTTP server; ``port=0`` binds
     an ephemeral port (read it back from ``server_address[1]``)."""
-    cls = _ServerBase if threaded else HTTPServer
+    cls = _ThreadedServer if threaded else _SerialServer
     srv = cls((host, port), ServiceHTTPHandler)
+    srv.compute_lane = ComputeLane()
     srv.artifact_store = store
     srv.use_cache = use_cache and store is not None
     srv.quiet = quiet

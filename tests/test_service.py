@@ -335,6 +335,27 @@ class TestHandlers:
         r2 = query("sim", params, store=store, info=info)
         assert info["cache"] == "hit" and canonical_json(r2) == canonical_json(r)
 
+    def test_runner_runs_misses_only(self, store):
+        calls = []
+
+        def runner(kind, fn):
+            calls.append(kind)
+            return fn()
+
+        info = {}
+        r1 = query("dims", {"ks": [2, 2, 2]}, store=store, info=info,
+                   runner=runner)
+        assert info["cache"] == "miss" and calls == ["dims"]
+        assert store.get("dims", normalize_params(
+            "dims", {"ks": [2, 2, 2]})) is not None  # put ran in fn
+        r2 = query("dims", {"ks": [2, 2, 2]}, store=store, info=info,
+                   runner=runner)
+        assert info["cache"] == "hit" and calls == ["dims"]
+        assert canonical_json(r1) == canonical_json(r2)
+        query("dims", {"ks": [2, 2, 2]}, store=None, info=info,
+              runner=runner)
+        assert info["cache"] == "off" and calls == ["dims", "dims"]
+
     def test_use_cache_false_bypasses(self, store):
         info = {}
         query("dims", {"ks": [2, 2, 2]}, store=store, use_cache=False,
@@ -410,6 +431,75 @@ class TestExecParams:
                    "memory_budget_bytes": "8192"},
                   store=None)
         assert r["valid"]
+
+
+class TestComputeLane:
+    def _lane(self):
+        from repro.service.server import ComputeLane
+
+        return ComputeLane()
+
+    def test_heavy_kind_runs_serially_on_one_thread(self):
+        lane = self._lane()
+        lock = threading.Lock()
+        state = {"active": 0, "max": 0, "threads": set()}
+
+        def fn():
+            with lock:
+                state["active"] += 1
+                state["max"] = max(state["max"], state["active"])
+                state["threads"].add(threading.get_ident())
+            time.sleep(0.02)
+            with lock:
+                state["active"] -= 1
+            return {"ok": True}
+
+        callers = [threading.Thread(target=lane.run, args=("layout", fn))
+                   for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join()
+        lane.close()
+        assert state["max"] == 1
+        assert len(state["threads"]) == 1
+        assert threading.get_ident() not in state["threads"]
+
+    def test_light_kind_runs_inline(self):
+        lane = self._lane()
+        seen = []
+        assert lane.run("dims", lambda: seen.append(
+            threading.get_ident()) or {"ok": True}) == {"ok": True}
+        assert seen == [threading.get_ident()]
+        lane.close()
+
+    def test_errors_propagate(self):
+        lane = self._lane()
+
+        def boom():
+            raise QueryError("layout: bad")
+
+        with pytest.raises(QueryError):
+            lane.run("layout", boom)
+        lane.close()
+
+    def test_server_close_joins_lane_thread(self, store):
+        srv = make_server(host="127.0.0.1", port=0, store=store, quiet=True)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{srv.server_address[1]}"
+        try:
+            status, body, h = _get(f"{base}/v1/layout?ks=1,1,1")
+            assert status == 200 and h["X-Repro-Cache"] == "miss"
+            assert json.loads(body)["valid"]
+            assert any(t.name.startswith("repro-compute")
+                       for t in threading.enumerate())
+        finally:
+            srv.shutdown()
+            thread.join(timeout=10)
+            srv.server_close()
+        assert not any(t.name.startswith("repro-compute")
+                       for t in threading.enumerate())
 
 
 @pytest.fixture
@@ -493,6 +583,27 @@ class TestHTTPServer:
         # the GET spelling of the same query is a warm hit now
         _s, _b, h = _get(f"{base}/v1/dims?ks=2,2,2")
         assert h["X-Repro-Cache"] == "hit"
+
+    def test_accepted_socket_sets_tcp_nodelay(self, http_server, monkeypatch):
+        # a keep-alive reply is written as headers then body; Nagle would
+        # hold the body back until the client's delayed ACK
+        import socket
+
+        from repro.service.server import ServiceHTTPHandler
+
+        seen = []
+        real_setup = ServiceHTTPHandler.setup
+
+        def setup(self):
+            real_setup(self)
+            seen.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(ServiceHTTPHandler, "setup", setup)
+        base, _store = http_server
+        status, _body, _h = _get(f"{base}/v1/health")
+        assert status == 200
+        assert seen and all(seen)
 
     def test_post_bad_body_400(self, http_server):
         base, _store = http_server

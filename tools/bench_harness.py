@@ -1067,6 +1067,94 @@ def _gate_chunked_parallel(section: Dict, smoke: bool) -> int:
     return 0
 
 
+def bench_chunked_overhead(
+    ks: Sequence[int] = (4, 4, 4),
+    memory_budget: int = 256 << 20,
+    repeats: int = 3,
+) -> Dict:
+    """Streaming vs monolithic cost at a budget above the table size.
+
+    Times a chunked grid build+validate (``chunked_grid_table`` +
+    ``validate_and_summarize`` with ``workers=1``) against the monolithic
+    ``build_grid_layout`` + ``validate_layout`` on the same design, each
+    the median of ``repeats`` cold runs.  Parity is byte-level: checks
+    run, verdict, error count, capped message list and summary stats.
+    """
+    import statistics  # noqa: PLC0415
+
+    from repro.layout import chunked_grid_table, grid_graph  # noqa: PLC0415
+
+    ks = tuple(ks)
+
+    def mono():
+        res = build_grid_layout(ks)
+        return validate_layout(res.layout, res.graph), res.layout
+
+    def chunked():
+        build = chunked_grid_table(ks, memory_budget_bytes=memory_budget)
+        graph = grid_graph(SwapButterfly.from_ks(ks))
+        return build.validate_and_summarize(graph=graph, workers=1)
+
+    def median_s(fn):
+        times = []
+        out = None
+        for _ in range(repeats):
+            out = None
+            gc.collect()
+            t0 = time.perf_counter()
+            out = fn()
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times), out
+
+    mono_s, (mono_rep, mono_layout) = median_s(mono)
+    mono_summ = mono_layout.summary()
+    del mono_layout
+    chunked_s, (rep, summ) = median_s(chunked)
+    parity = (
+        rep.checks_run == mono_rep.checks_run
+        and rep.ok == mono_rep.ok
+        and rep.num_errors == mono_rep.num_errors
+        and list(rep.errors) == list(mono_rep.errors)
+        and summ == mono_summ
+    )
+    ratio = chunked_s / mono_s
+    print(
+        f"  chunked-vs-monolithic ks={ks} budget={memory_budget >> 20} MiB "
+        f"workers=1: {chunked_s:6.2f} s vs {mono_s:6.2f} s "
+        f"({ratio:.2f}x, median of {repeats})  parity "
+        f"{'OK' if parity else 'FAILED'}"
+    )
+    return {
+        "ks": list(ks),
+        "wires": int(summ["wires"]),
+        "memory_budget_bytes": int(memory_budget),
+        "repeats": int(repeats),
+        "monolithic_s": mono_s,
+        "chunked_s": chunked_s,
+        "ratio": ratio,
+        "parity": parity,
+    }
+
+
+#: ceiling on chunked / monolithic build+validate time at a roomy budget
+CHUNKED_OVERHEAD_CEILING = 2.0
+
+
+def _gate_chunked_overhead(section: Dict) -> int:
+    """Hard gate: the roomy chunked pipeline stays byte-identical to the
+    monolithic one and within ``CHUNKED_OVERHEAD_CEILING`` of its time."""
+    if not section["parity"]:
+        print("ERROR: chunked build+validate diverged from the monolithic "
+              "pipeline", file=sys.stderr)
+        return 1
+    if section["ratio"] > CHUNKED_OVERHEAD_CEILING:
+        print(f"ERROR: chunked build+validate took {section['ratio']:.2f}x "
+              f"the monolithic time (ceiling "
+              f"{CHUNKED_OVERHEAD_CEILING:.1f}x)", file=sys.stderr)
+        return 1
+    return 0
+
+
 def run_curated_benches(benches: Sequence[str]) -> Optional[List[Dict]]:
     """Run the curated pytest-benchmark subset; fold in its stats."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1138,7 +1226,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          "a 4 MiB budget at 2 workers, gating byte-identity "
                          "vs the serial reducer and the monolithic "
                          "validator plus a parent-memory ceiling and a "
-                         "cpu-scaled speedup floor")
+                         "cpu-scaled speedup floor; then B_12 chunked "
+                         "build+validate at a roomy budget within 2.0x "
+                         "of the monolithic pipeline")
     ap.add_argument("--max-n", type=int, default=16,
                     help="largest butterfly dimension to construct (default 16)")
     ap.add_argument("--repeats", type=int, default=3,
@@ -1317,6 +1407,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         section = bench_chunked_parallel(
             ks=(4, 3, 3), memory_budget=4 << 20, workers_list=(2,),
         )
+        print("chunked overhead smoke (byte-identity + <= "
+              f"{CHUNKED_OVERHEAD_CEILING:.1f}x monolithic at B_12):")
+        overhead = bench_chunked_overhead()
         report = {
             "generated": date,
             "scale_smoke": True,
@@ -1325,12 +1418,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
             "chunked_parallel": section,
+            "chunked_overhead": overhead,
         }
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(f"wrote {out_path}")
-        return _gate_chunked_parallel(section, smoke=True)
+        return (_gate_chunked_parallel(section, smoke=True)
+                or _gate_chunked_overhead(overhead))
 
     if args.sim_smoke:
         print("queued-routing smoke (parity + speedup + trace export):")
