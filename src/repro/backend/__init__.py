@@ -12,11 +12,11 @@ order:
 2. the ``REPRO_BACKEND`` environment variable,
 3. the default, ``"numpy"``.
 
-Registered backends: ``numpy`` (reference), ``python`` (interpreted
-loop kernels, always available, used by the conformance grid), ``numba``
-(the same kernels jit-compiled; optional), and ``cupy`` (stub that
-reports unavailability).  Unavailable backends raise
-:class:`BackendUnavailable` at selection time with a clear message.
+Registered backends: ``numpy`` (the reference, always available) and
+``numba`` (the ``_kernels`` loop bodies jit-compiled; optional).  If numba
+is not installed, selecting it raises :class:`BackendUnavailable` with a
+clear message.  The same loop bodies run uncompiled in the conformance
+backend of ``tests/oracles/backend.py``, which tests pass as an instance.
 
 Shared-memory (zero-copy) array handoff for multiprocessing workers
 lives in :mod:`repro.backend.shm`.
@@ -28,18 +28,14 @@ import os
 from typing import Dict, List, Optional, Type, Union
 
 from .base import ArrayBackend, BackendUnavailable, NumpyBackend
-from .cupy_backend import CupyBackend
 from .numba_backend import NumbaBackend
-from .python_backend import PythonBackend
 from . import shm
 
 __all__ = [
     "ArrayBackend",
     "BackendUnavailable",
     "NumpyBackend",
-    "PythonBackend",
     "NumbaBackend",
-    "CupyBackend",
     "get_backend",
     "available_backends",
     "shm",
@@ -47,9 +43,7 @@ __all__ = [
 
 BACKENDS: Dict[str, Type[ArrayBackend]] = {
     "numpy": NumpyBackend,
-    "python": PythonBackend,
     "numba": NumbaBackend,
-    "cupy": CupyBackend,
 }
 
 _CACHE: Dict[str, ArrayBackend] = {}

@@ -1,10 +1,11 @@
-"""Loop kernels behind the non-NumPy array backends.
+"""Loop kernels behind the numba array backend.
 
 Each kernel is written in the nopython subset of Python (plain loops,
 scalar indexing, no fancy NumPy) so the same function object can run
-either as-is (the ``python`` backend) or compiled with ``numba.njit``
-(the ``numba`` backend).  Keeping one body for both means the pure
-Python conformance tests exercise exactly the code numba compiles.
+either compiled with ``numba.njit`` (the ``numba`` backend) or as-is
+(the interpreted conformance backend of the tests).  Keeping one body
+for both means the conformance tests exercise exactly the code numba
+compiles, even where numba is not installed.
 
 All kernels take flat (1-D) arrays and preallocated outputs; shape and
 dtype handling lives in :class:`repro.backend.base.KernelBackend`.

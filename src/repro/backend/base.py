@@ -115,13 +115,14 @@ class NumpyBackend(ArrayBackend):
 class KernelBackend(ArrayBackend):
     """Backend assembled from the loop kernels in ``_kernels``.
 
-    ``jit`` transforms each kernel before use: identity for the pure
-    ``python`` backend, ``numba.njit`` for the jitted one.  All shape,
-    dtype, and scalar-broadcast handling lives here, so it is covered
-    by the pure-Python conformance runs and shared verbatim by numba.
+    ``jit`` transforms each kernel before use: ``numba.njit`` for the
+    numba backend, ``None`` (identity) for the interpreted conformance
+    backend the tests run.  All shape, dtype, and scalar-broadcast
+    handling lives here, so it is covered by the interpreted conformance
+    runs and shared verbatim by numba.
     """
 
-    name = "python"
+    name = "kernel"
 
     def __init__(self, jit=None):
         from . import _kernels as k

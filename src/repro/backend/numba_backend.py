@@ -1,8 +1,8 @@
 """Numba-jitted backend: ``_kernels`` compiled with ``numba.njit``.
 
-The kernel bodies are exactly the ones the pure ``python`` backend runs
-interpreted (and that the conformance suite pins against NumPy), so
-compiling them changes speed, not semantics.  When numba is not
+The kernel bodies are exactly the ones the conformance suite runs
+interpreted and pins against NumPy, so compiling them changes speed, not
+semantics.  When numba is not
 installed, constructing the backend raises
 :class:`~repro.backend.base.BackendUnavailable` with a clear message.
 """

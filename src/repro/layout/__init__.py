@@ -4,16 +4,17 @@ Thompson and multilayer 2-D grid models.
 
 The wire-level hot path is columnar: builders emit a :class:`WireTable`
 (int64 segment arrays in CSR layout) directly, and :func:`validate_layout`
-runs sort/cummax sweeps over those columns.  ``engine="legacy"`` on the
-builders and :func:`validate_layout_legacy` keep the original
-object-per-wire paths alive as differential oracles — both engines
-produce identical layouts wire for wire and identical verdicts, pinned
-by ``tests/test_layout_vectorized.py``.  ``Layout`` converts between the
-two representations losslessly, so ``viz/`` and other object-level
-consumers are unaffected.  The ``repro layout`` CLI subcommand drives a
-build + validation + wire-statistics run of either engine (``--legacy``)."""
+runs sort/cummax sweeps over those columns; :mod:`.chunked` streams the
+same tables under a memory budget.  Each builder and the validator have
+one implementation here.  The original object-per-wire builders and
+checker live in ``tests/oracles/`` as differential oracles, and
+``tests/test_layout_vectorized.py`` pins the columnar engines to them
+wire for wire and verdict for verdict.  ``Layout`` converts between
+tables and :class:`Wire` objects losslessly, so ``viz/`` and other
+object-level consumers are unaffected.  The ``repro layout`` CLI
+subcommand drives a build + validation + wire-statistics run."""
 
-from .blocks import BlockDims, BlockPlan, block_dims, plan_block
+from .blocks import BlockDims, block_dims
 from .collinear_generic import (
     GenericCollinearLayout,
     cut_congestion,
@@ -62,7 +63,6 @@ from .tracks import TrackGrouping, base_layer_pair
 from .validate import (
     ValidationReport,
     validate_layout,
-    validate_layout_legacy,
     validate_table,
 )
 from .wiretable import WireTable, WireTableBuilder
@@ -92,7 +92,6 @@ __all__ = [
     "multilayer_model",
     "ValidationReport",
     "validate_layout",
-    "validate_layout_legacy",
     "validate_table",
     "WireTable",
     "WireTableBuilder",
@@ -116,9 +115,7 @@ __all__ = [
     "TrackGrouping",
     "base_layer_pair",
     "BlockDims",
-    "BlockPlan",
     "block_dims",
-    "plan_block",
     "GridDims",
     "GridLayoutResult",
     "grid_dims",

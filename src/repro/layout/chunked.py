@@ -89,6 +89,7 @@ from .validate import (
     MAX_ERRORS_KEPT,
     ValidationReport,
     _BandIndex,
+    _avoid_hits,
     _bulk,
     _canon_edge,
     _canon_net_rows,
@@ -96,6 +97,8 @@ from .validate import (
     _node_index,
     _realizes_fallback,
     _staged_nodes_placed,
+    _terminal_points,
+    _terminal_sweep,
     _track_overlap_sweep,
     _via_col_sweep,
     _via_seg_orientation,
@@ -302,7 +305,7 @@ def chunked_collinear_table(
 ) -> ChunkedBuild:
     """Stream :func:`~repro.layout.collinear.collinear_layout`'s table in
     wire-range chunks; concatenated chunks are byte-identical to the
-    monolithic ``engine="table"`` build."""
+    monolithic build."""
     if multiplicity < 1:
         raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
     degree = multiplicity * (n - 1)
@@ -1128,7 +1131,7 @@ class ChunkedValidator:
         if self.check_vias:
             self._feed_vias(t, w_of, codes)
         if self.check_nodes:
-            self._feed_avoid(t, w_of)
+            self._feed_avoid(t)
         if self.graph is not None:
             self._codes.append(codes.copy())
             if self._fast is not None and t.num_wires:
@@ -1208,59 +1211,19 @@ class ChunkedValidator:
             )
         # terminals of good wires, interleaved start/end in wire order —
         # the global seq reproduces the monolithic arrival tiebreak
-        gw_idx = np.flatnonzero(~paths.bad)
-        if gw_idx.size:
-            n2 = gw_idx.size
-            sx = paths.px[paths.pt_indptr[:-1]][gw_idx]
-            sy = paths.py[paths.pt_indptr[:-1]][gw_idx]
-            ex = paths.px[paths.pt_indptr[1:] - 1][gw_idx]
-            ey = paths.py[paths.pt_indptr[1:] - 1][gw_idx]
-            tx = np.empty(2 * n2, dtype=np.int64)
-            ty = np.empty(2 * n2, dtype=np.int64)
-            tx[0::2], tx[1::2] = sx, ex
-            ty[0::2], ty[1::2] = sy, ey
-            seq = self._term_count + np.arange(2 * n2, dtype=np.int64)
+        tw, tx, ty = _terminal_points(t)
+        if tw.size:
+            seq = self._term_count + np.arange(tw.size, dtype=np.int64)
             self._terms.add(
-                _buckets_of(self.nb, tx, ty),
-                [tx, ty, seq, np.repeat(codes[gw_idx], 2)],
+                _buckets_of(self.nb, tx, ty), [tx, ty, seq, codes[tw]],
             )
         self._gw_count += n_gw
         self._bend_count += n_bend
         self._term_count += 2 * n_gw
 
-    def _feed_avoid(self, t: WireTable, w_of: np.ndarray) -> None:
-        # per-chunk half of _vt_wires_avoid_nodes against prebuilt indexes
-        if not self.nodes or t.num_segments == 0:
-            return
-        horiz = t.is_horizontal
-        hit = np.zeros(t.num_segments, dtype=bool)
-        for is_h in (True, False):
-            si = np.flatnonzero(horiz if is_h else ~horiz)
-            if not si.size:
-                continue
-            fix = (t.y1 if is_h else t.x1)[si]
-            lo = (t.x1 if is_h else t.y1)[si]
-            hi = (t.x2 if is_h else t.y2)[si]
-            hit[si] = self._bi[is_h].hits(fix, lo, hi)
-        count = int(hit.sum())
-        if not count:
-            return
-
-        def msgs():
-            for i in np.flatnonzero(hit).tolist():
-                net = t.nets[int(w_of[i])]
-                if horiz[i]:
-                    yield (
-                        f"wire {net}: H segment y={int(t.y1[i])} "
-                        f"x[{int(t.x1[i])},{int(t.x2[i])}] crosses a node interior"
-                    )
-                else:
-                    yield (
-                        f"wire {net}: V segment x={int(t.x1[i])} "
-                        f"y[{int(t.y1[i])},{int(t.y2[i])}] crosses a node interior"
-                    )
-
-        self._t_avoid.add(count, msgs())
+    def _feed_avoid(self, t: WireTable) -> None:
+        if self.nodes and t.num_segments:
+            self._t_avoid.add(*_avoid_hits(t, self._bi))
 
     # -- finalization ----------------------------------------------------
 
@@ -1325,24 +1288,7 @@ def _sweep_job(payload: Tuple, be=None) -> Tuple[int, List[Tuple[Tuple, str]]]:
     if kind != "terms":
         raise ValueError(f"unknown sweep kind {kind!r}")
     tx, ty, seq, code = _load_parts(parts["rows"], 4)
-    order = np.lexsort((seq, ty, tx))
-    X, Y, S_, C = tx[order], ty[order], seq[order], code[order]
-    # codes are injective, so code equality is net equality
-    same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
-    err = same & (C[1:] != C[:-1])
-    c = int(err.sum())
-    if not c:
-        return 0, []
-    keyed = []
-    for i in (np.flatnonzero(err) + 1).tolist():
-        if len(keyed) >= MAX_ERRORS_KEPT:
-            break
-        p = (int(X[i]), int(Y[i]))
-        keyed.append(((p[0], p[1], int(S_[i])), (
-            f"terminal point {p} shared by wires "
-            f"{_NetRef(C[i - 1])} and {_NetRef(C[i])}"
-        )))
-    return c, keyed
+    return _terminal_sweep(tx, ty, seq, code, _refs(code))
 
 
 def _sweep_payloads(v: "ChunkedValidator") -> List[Tuple]:

@@ -1,11 +1,13 @@
 """Vectorized (columnar) planner for the recursive grid layout scheme.
 
-Produces the exact same wire-level embedding as the object-per-wire path
-in :mod:`repro.layout.grid_scheme` — wire for wire, in the same order —
-but assembles the geometry as numpy arrays and emits a
-:class:`~repro.layout.wiretable.WireTable` directly.
+Assembles the wire-level embedding of
+:func:`~repro.layout.grid_scheme.build_grid_layout` as numpy arrays and
+emits a :class:`~repro.layout.wiretable.WireTable` directly.  It
+reproduces the original object-per-wire builder — kept as the
+differential oracle in ``tests/oracles/layout.py`` — wire for wire, in
+the same order.
 
-The construction mirrors the legacy builder category by category:
+The construction mirrors that builder category by category:
 
 * exchange boundaries: one horizontal ``straight`` run plus one 3-segment
   ``cross`` wire per (block, local row);

@@ -207,7 +207,6 @@ def optimize_packaging(
     candidate's closed form is wrong or a nucleus candidate exceeds
     Theorem 2.1's bound.
     """
-    backend = backend.name if isinstance(backend, ArrayBackend) else backend
     vectors = [
         ks for ks in enumerate_parameter_vectors(n, max_l=max_l)
         if len(ks) >= 2  # no partitioning benefit from a single level
@@ -233,9 +232,11 @@ def optimize_packaging(
                 for i in range(0, len(keyed), batch)
             ]
             procs = min(workers, len(keyed_chunks))
+            # instances do not pickle; workers resolve the registered name
+            name = backend.name if isinstance(backend, ArrayBackend) else backend
             with share_arrays(**arrays) as pack:
                 del arrays
-                payloads = [(pack, c, backend) for c in keyed_chunks]
+                payloads = [(pack, c, name) for c in keyed_chunks]
                 with multiprocessing.get_context().Pool(procs) as pool:
                     parts = pool.map(_exact_chunk_shm, payloads)
         else:

@@ -22,7 +22,7 @@ The columnar interface — :meth:`Partition.module_ids` mapping int64
 edge arrays through.  ``RowPartition`` and ``NucleusPartition`` resolve
 codes by bit arithmetic; the base class falls back to a ``module_of``
 enumeration, so any custom partition that only defines ``module_of``
-still works (at legacy speed).
+still works (at the speed of a per-node loop).
 """
 
 from __future__ import annotations
@@ -89,15 +89,6 @@ class Partition:
             self.module_ids(rows, stages), minlength=len(labels)
         )
         return {m: int(c) for m, c in zip(labels, counts)}
-
-    def module_sizes_legacy(self) -> Dict[Hashable, int]:
-        """The original per-node loop; kept as a differential oracle."""
-        sizes: Dict[Hashable, int] = {}
-        for s in range(self.sb.stages):
-            for u in range(self.sb.rows):
-                m = self.module_of((u, s))
-                sizes[m] = sizes.get(m, 0) + 1
-        return sizes
 
     @property
     def num_modules(self) -> int:

@@ -60,7 +60,7 @@ def _as_int(v: object, name: str) -> int:
         raise QueryError(f"{name} must be an integer, got {v!r}")
     try:
         i = int(v)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # inf overflows
         raise QueryError(f"{name} must be an integer, got {v!r}") from e
     if isinstance(v, float) and v != i:
         raise QueryError(f"{name} must be an integer, got {v!r}")

@@ -8,15 +8,34 @@ from hypothesis import strategies as st
 from repro.topology.swap import SwapNetworkParams
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip (not fail) the whole run when ``REPRO_BACKEND`` names a
-    backend this environment cannot construct — the CI backend matrix
-    sets the variable unconditionally and relies on wheel-gap legs
-    degrading to skips."""
+def _requested_backend():
+    """``REPRO_BACKEND`` as ``get_backend`` reads it, or ``None``."""
     import os
 
-    name = os.environ.get("REPRO_BACKEND")
-    if not name or name == "numpy":
+    name = os.environ.get("REPRO_BACKEND", "").strip()
+    return name.lower() or None
+
+
+def pytest_configure(config):
+    """Fail the session when ``REPRO_BACKEND`` names no registered
+    backend: a misspelled name must not turn the run into skips."""
+    from repro.backend import BACKENDS
+
+    name = _requested_backend()
+    if name is not None and name not in BACKENDS:
+        raise pytest.UsageError(
+            f"REPRO_BACKEND={name!r} is not a registered backend; "
+            f"registered: {sorted(BACKENDS)}"
+        )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip (not fail) the whole run when ``REPRO_BACKEND`` names a
+    registered backend this environment cannot construct — the CI
+    backend matrix sets the variable unconditionally and relies on
+    wheel-gap legs degrading to skips."""
+    name = _requested_backend()
+    if name is None or name == "numpy":
         return
     from repro.backend import available_backends
 

@@ -11,8 +11,9 @@ Two layers of pinning:
   ``REPRO_BACKEND=<alt>`` (and the ``backend=`` kwarg) as under the
   NumPy default.
 
-The ``python`` backend (interpreted loop kernels) always runs; ``numba``
-runs when importable and is skipped — never failed — otherwise.
+The ``python`` conformance backend (interpreted loop kernels, from
+``tests/oracles/backend.py``) always runs and is passed as an instance;
+``numba`` runs when importable and is skipped — never failed — otherwise.
 """
 
 import numpy as np
@@ -34,13 +35,14 @@ from repro.packaging.optimizer import optimize_packaging
 from repro.packaging.partition import RowPartition
 from repro.packaging.pins import count_off_module_links
 from repro.transform.swap_butterfly import SwapButterfly
+from tests.oracles.backend import PythonBackend
 
 REF = NumpyBackend()
 AVAILABLE = available_backends()
 ALT_BACKENDS = [
     pytest.param(
         name,
-        marks=() if name in AVAILABLE else pytest.mark.skip(
+        marks=() if name in ("python", *AVAILABLE) else pytest.mark.skip(
             reason=f"backend {name!r} unavailable here"
         ),
     )
@@ -48,8 +50,15 @@ ALT_BACKENDS = [
 ]
 
 
+def _alt(name):
+    """The backend an ``ALT_BACKENDS`` name stands for: the interpreted
+    conformance backend, or a registered one."""
+    return PythonBackend() if name == "python" else get_backend(name)
+
+
 def backends():
-    return [pytest.param(get_backend(n), id=n) for n in AVAILABLE]
+    names = ["numpy", "python"] + [n for n in AVAILABLE if n != "numpy"]
+    return [pytest.param(_alt(n), id=n) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +213,17 @@ class TestOpConformance:
 
 
 def test_registry_and_reference_available():
-    assert set(BACKENDS) == {"numpy", "python", "numba", "cupy"}
-    assert "numpy" in AVAILABLE and "python" in AVAILABLE
+    assert set(BACKENDS) == {"numpy", "numba"}
+    assert "numpy" in AVAILABLE
 
 
 def test_get_backend_precedence(monkeypatch):
+    import repro.backend as rb
+
+    # register the conformance backend so the env path has a non-default
+    # name to resolve, on a fresh instance cache
+    monkeypatch.setitem(rb.BACKENDS, "python", PythonBackend)
+    monkeypatch.setattr(rb, "_CACHE", {})
     monkeypatch.setenv("REPRO_BACKEND", "python")
     assert get_backend().name == "python"
     assert get_backend("numpy").name == "numpy"  # kwarg wins over env
@@ -219,18 +234,16 @@ def test_get_backend_precedence(monkeypatch):
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_backend("fortran")
+    for name in ("fortran", "cupy", "python"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            get_backend(name)
 
 
-def test_cupy_stub_reports_unavailable():
-    try:
-        import cupy  # noqa: F401
-        pytest.skip("cupy importable here; stub path not reachable")
-    except ImportError:
-        pass
-    with pytest.raises(BackendUnavailable, match="cupy"):
-        get_backend("cupy")
+def test_missing_dependency_reports_unavailable():
+    if "numba" in AVAILABLE:
+        pytest.skip("numba importable here; the unavailable path is not")
+    with pytest.raises(BackendUnavailable, match="numba"):
+        get_backend("numba")
 
 
 def test_shm_roundtrip_and_views():
@@ -257,10 +270,11 @@ def test_shm_roundtrip_and_views():
 
 @pytest.mark.parametrize("alt", ALT_BACKENDS)
 def test_layout_verdicts_match(alt, monkeypatch):
+    be = _alt(alt)
     lay = collinear_layout(6, 2).layout
     t = lay.wire_table()
     ref = validate_table(t, lay.nodes, lay.model, backend="numpy")
-    got = validate_table(t, lay.nodes, lay.model, backend=alt)
+    got = validate_table(t, lay.nodes, lay.model, backend=be)
     assert (got.ok, got.num_errors, got.errors) == (
         ref.ok, ref.num_errors, ref.errors)
     # break a track: both backends must report the identical messages
@@ -273,11 +287,13 @@ def test_layout_verdicts_match(alt, monkeypatch):
     )
     bad.y1[h[0]] = bad.y2[h[0]] = bad.y1[h[3]]
     ref_bad = validate_table(bad, lay.nodes, lay.model, backend="numpy")
-    got_bad = validate_table(bad, lay.nodes, lay.model, backend=alt)
+    got_bad = validate_table(bad, lay.nodes, lay.model, backend=be)
     assert not ref_bad.ok
     assert (got_bad.ok, got_bad.num_errors, got_bad.errors) == (
         ref_bad.ok, ref_bad.num_errors, ref_bad.errors)
-    # env-var selection path resolves identically
+    # env-var selection path resolves identically (registered names)
+    if alt not in BACKENDS:
+        return
     monkeypatch.setenv("REPRO_BACKEND", alt)
     got_env = validate_table(t, lay.nodes, lay.model)
     assert (got_env.ok, got_env.num_errors) == (ref.ok, ref.num_errors)
@@ -287,14 +303,15 @@ def test_layout_verdicts_match(alt, monkeypatch):
 def test_packaging_counts_match(alt):
     sb = SwapButterfly.from_ks((2, 2, 1))
     part = RowPartition(sb, row_bits=2)
+    be = _alt(alt)
     ref = count_off_module_links(part, backend="numpy")
-    got = count_off_module_links(part, backend=alt)
+    got = count_off_module_links(part, backend=be)
     assert got.per_module == ref.per_module
     assert got.nodes_per_module == ref.nodes_per_module
     assert (got.num_modules, got.total_links, got.off_module_links) == \
            (ref.num_modules, ref.total_links, ref.off_module_links)
     ref_c = optimize_packaging(5, exact=True, backend="numpy")
-    got_c = optimize_packaging(5, exact=True, backend=alt)
+    got_c = optimize_packaging(5, exact=True, backend=be)
     assert [(c.ks, c.scheme, c.num_modules, c.pins_per_module)
             for c in got_c] == \
            [(c.ks, c.scheme, c.num_modules, c.pins_per_module)
@@ -306,7 +323,7 @@ def test_benes_settings_match(alt):
     g = np.random.default_rng(7)
     perms = np.stack([g.permutation(16) for _ in range(9)])
     ref = route_permutations(perms, backend="numpy")
-    got = route_permutations(perms, backend=alt)
+    got = route_permutations(perms, backend=_alt(alt))
     assert got.n == ref.n
     assert np.array_equal(got.crossed, ref.crossed)
 
@@ -315,9 +332,15 @@ def test_benes_settings_match(alt):
 def test_sim_traces_match(alt, monkeypatch):
     ref = simulate_butterfly_queued(3, 0.35, cycles=220, warmup=40, seed=5,
                                     trace=True, backend="numpy")
-    monkeypatch.setenv("REPRO_BACKEND", alt)
+    # registered names go through the env var, the conformance backend
+    # through the kwarg
+    kw = {}
+    if alt in BACKENDS:
+        monkeypatch.setenv("REPRO_BACKEND", alt)
+    else:
+        kw["backend"] = _alt(alt)
     got = simulate_butterfly_queued(3, 0.35, cycles=220, warmup=40, seed=5,
-                                    trace=True)
+                                    trace=True, **kw)
     assert (got.offered, got.delivered, got.drained, got.max_queue) == \
            (ref.offered, ref.delivered, ref.drained, ref.max_queue)
     assert got.avg_latency == ref.avg_latency
@@ -331,6 +354,6 @@ def test_chunked_validation_matches_across_backends(alt):
     from repro.layout import chunked_collinear_table
     c = chunked_collinear_table(6, 2, memory_budget_bytes=4096)
     ref = c.validate(backend="numpy")
-    got = c.validate(backend=alt)
+    got = c.validate(backend=_alt(alt))
     assert (got.ok, got.num_errors, got.errors, got.checks_run) == \
            (ref.ok, ref.num_errors, ref.errors, ref.checks_run)

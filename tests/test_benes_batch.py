@@ -16,11 +16,13 @@ from repro.algorithms.benes_routing import (
     BenesSettingsBatch,
     apply_settings,
     apply_settings_batch,
-    apply_settings_legacy,
     num_switch_stages,
     route_permutation,
-    route_permutation_legacy,
     route_permutations,
+)
+from tests.oracles.algorithms import (
+    apply_settings_legacy,
+    route_permutation_legacy,
 )
 
 

@@ -28,6 +28,27 @@ class TestCommands:
         assert main(["verify", "--ks", "2,2", "--materialize"]) == 0
         assert "graph comparison" in capsys.readouterr().out
 
+    def test_layout_legacy_engine_matches(self, capsys, monkeypatch, tmp_path):
+        import repro.layout as layout_pkg
+        from tests.oracles.layout import build_grid_layout_legacy
+        from tests.oracles.validate import validate_layout_legacy
+
+        # --svg takes the in-process path, here on the object-per-wire
+        # oracles; the plain run is the cached table-engine query
+        monkeypatch.setattr(layout_pkg, "build_grid_layout",
+                            build_grid_layout_legacy)
+        monkeypatch.setattr(layout_pkg, "validate_layout",
+                            validate_layout_legacy)
+        svg = tmp_path / "out.svg"
+        assert main(["layout", "--ks", "1,1,1", "--svg", str(svg)]) == 0
+        legacy_out = capsys.readouterr().out
+        assert "validation (table): OK" in legacy_out
+        assert main(["layout", "--ks", "1,1,1"]) == 0
+        table_out = capsys.readouterr().out
+        # identical metric tables (strip the timing and svg lines)
+        strip = lambda s, end: "\n".join(s.splitlines()[1:end])
+        assert strip(legacy_out, -1) == strip(table_out, None)
+
     def test_layout(self, capsys, tmp_path):
         svg = tmp_path / "out.svg"
         assert main(["layout", "--ks", "1,1,1", "--svg", str(svg)]) == 0
@@ -36,16 +57,6 @@ class TestCommands:
         assert "area" in out
         assert "p99" in out  # wire-length distribution row
         assert svg.exists()
-
-    def test_layout_legacy_engine_matches(self, capsys):
-        assert main(["layout", "--ks", "1,1,1", "--legacy"]) == 0
-        legacy_out = capsys.readouterr().out
-        assert "validation (legacy): OK" in legacy_out
-        assert main(["layout", "--ks", "1,1,1"]) == 0
-        table_out = capsys.readouterr().out
-        # identical metric tables (strip the timing line)
-        strip = lambda s: "\n".join(s.splitlines()[1:])
-        assert strip(legacy_out) == strip(table_out)
 
     def test_layout_chunked_flags_same_table(self, capsys):
         assert main(["layout", "--ks", "2,2,2"]) == 0
@@ -70,7 +81,7 @@ class TestCommands:
 
     def test_layout_exec_flags_need_service_path(self, capsys):
         assert main(["layout", "--ks", "2,2,2", "--workers", "2",
-                     "--legacy"]) == 2
+                     "--no-validate"]) == 2
         assert "cannot be combined" in capsys.readouterr().err
 
     def test_campaign_spec_carries_exec_knobs(self):
@@ -176,10 +187,21 @@ class TestCommands:
         data = json.loads(report.read_text())
         assert data["mode"] == "batch" and data["realized_ok"] is True
 
-    def test_benes_explicit_perm_and_legacy(self, capsys):
+    def test_benes_explicit_perm_and_legacy(self, capsys, monkeypatch):
+        from repro.algorithms import benes_routing
+        from tests.oracles.algorithms import (
+            apply_settings_legacy,
+            route_permutation_legacy,
+        )
+
         assert main(["benes", "--perm", "3,1,0,2"]) == 0
         new_out = capsys.readouterr().out
-        assert main(["benes", "--perm", "3,1,0,2", "--legacy"]) == 0
+        # the same command on the recursive oracle
+        monkeypatch.setattr(benes_routing, "route_permutation",
+                            route_permutation_legacy)
+        monkeypatch.setattr(benes_routing, "apply_settings",
+                            apply_settings_legacy)
+        assert main(["benes", "--perm", "3,1,0,2"]) == 0
         legacy_out = capsys.readouterr().out
         # both engines route the same perm with identical counts
         assert new_out == legacy_out
@@ -351,11 +373,20 @@ class TestSim:
         assert "throughput/input" in out
         assert "max queue" in out
 
-    def test_legacy_matches_vectorized(self, capsys):
+    def test_legacy_matches_vectorized(self, capsys, monkeypatch):
+        from repro.algorithms import queued_routing
+        from tests.oracles.algorithms import simulate_butterfly_queued_legacy
+
         argv = ["sim", "-n", "2", "--rate", "0.5", "--cycles", "150"]
         assert main(argv) == 0
         vec = capsys.readouterr().out
-        assert main(argv + ["--legacy"]) == 0
+        # the same command on the pure-Python reference loop
+        monkeypatch.setattr(
+            queued_routing, "simulate_butterfly_queued",
+            lambda *a, trace=False, **kw: simulate_butterfly_queued_legacy(
+                *a, **kw),
+        )
+        assert main(argv) == 0
         leg = capsys.readouterr().out
         assert vec == leg
 
@@ -382,11 +413,8 @@ class TestSim:
         header = csv_path.read_text().splitlines()[0]
         assert header == "cycle,injected,delivered,in_flight,max_depth"
 
-    def test_trace_rejected_with_legacy(self, tmp_path):
+    def test_trace_rejected_in_sweep(self, tmp_path):
         assert main(
-            ["sim", "-n", "3", "--legacy", "--trace-csv",
+            ["sim", "-n", "3", "--rates", "0.3,0.8", "--trace-csv",
              str(tmp_path / "t.csv")]
         ) == 2
-
-    def test_sweep_rejects_legacy(self):
-        assert main(["sim", "-n", "3", "--rates", "0.3,0.8", "--legacy"]) == 2

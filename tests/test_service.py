@@ -254,6 +254,17 @@ class TestHandlers:
         with pytest.raises(QueryError):
             normalize_params("package", {"ks": [2, 2], "scheme": "hexagon"})
 
+    def test_infinite_float_becomes_queryerror(self):
+        # JSON 1e999 decodes to inf, and int(inf) raises OverflowError
+        from repro.service.handlers import split_exec_params
+
+        with pytest.raises(QueryError, match="integer"):
+            normalize_params("benes", {"n": float("inf")})
+        with pytest.raises(QueryError, match="integer"):
+            split_exec_params(
+                "layout", {"ks": [2, 2, 2], "memory_budget_bytes": float("inf")}
+            )
+
     def test_engine_valueerror_becomes_queryerror(self):
         # k_2 > k_1 passes _as_ks but the construction rejects it
         with pytest.raises(QueryError):
@@ -604,6 +615,19 @@ class TestHTTPServer:
         status, _body, _h = _get(f"{base}/v1/health")
         assert status == 200
         assert seen and all(seen)
+
+    def test_post_infinite_float_400(self, http_server):
+        base, _store = http_server
+        for body in (
+            b'{"kind": "benes", "params": {"n": 1e999}}',
+            b'{"kind": "layout", "params": {"ks": [2, 2, 2], '
+            b'"memory_budget_bytes": 1e999}}',
+        ):
+            req = urllib.request.Request(f"{base}/v1/query", data=body)
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(req)
+            assert exc.value.code == 400
+            assert "must be an integer" in json.loads(exc.value.read())["error"]
 
     def test_post_bad_body_400(self, http_server):
         base, _store = http_server

@@ -15,7 +15,8 @@ optimizer sweep at n = 16 that the object loops could not touch), times
 the batched Benes routing engine against the legacy recursion (with a
 bit-for-bit settings parity check), and runs a curated subset of the
 ``benchmarks/bench_*.py`` pytest-benchmark suite.  Results are written to ``BENCH_<date>.json`` in the repo root
-(or ``--out``).
+(or ``--out``).  The original, legacy and reference sides are the
+differential oracles in ``tests/oracles/``, imported from the repo root.
 
 Usage::
 
@@ -52,18 +53,19 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# the repo root, for the differential oracles in tests/oracles/
+sys.path.insert(1, REPO_ROOT)
 
 import numpy as np  # noqa: E402
 
 from repro.layout.grid_scheme import build_grid_layout  # noqa: E402
-from repro.layout.validate import (  # noqa: E402
-    validate_layout,
-    validate_layout_legacy,
-)
+from repro.layout.validate import validate_layout  # noqa: E402
 from repro.topology.butterfly import Butterfly  # noqa: E402
 from repro.topology.graph import Graph  # noqa: E402
 from repro.topology.swap import SwapNetwork, SwapNetworkParams  # noqa: E402
 from repro.transform.swap_butterfly import SwapButterfly  # noqa: E402
+from tests.oracles.layout import build_grid_layout_legacy  # noqa: E402
+from tests.oracles.validate import validate_layout_legacy  # noqa: E402
 
 #: The curated pytest-benchmark subset: one figure, one theorem, one
 #: layout-engine and one scalability bench — enough to catch regressions
@@ -210,11 +212,11 @@ def bench_layout_engines(
         ks = tuple(ks)
         gc.collect()
         t0 = time.perf_counter()
-        res_t = build_grid_layout(ks, engine="table")
+        res_t = build_grid_layout(ks)
         table_build_s = time.perf_counter() - t0
         gc.collect()
         t0 = time.perf_counter()
-        res_l = build_grid_layout(ks, engine="legacy")
+        res_l = build_grid_layout_legacy(ks)
         legacy_build_s = time.perf_counter() - t0
 
         # wire-for-wire parity, order included.  to_wires() keeps the
@@ -285,6 +287,8 @@ def bench_queued_routing(
     from repro.algorithms.queued_routing import (  # noqa: PLC0415
         _run_batch,
         simulate_butterfly_queued,
+    )
+    from tests.oracles.algorithms import (  # noqa: PLC0415
         simulate_butterfly_queued_legacy,
     )
 
@@ -368,8 +372,8 @@ def bench_packaging(
         NucleusPartition,
         RowPartition,
     )
-    from repro.packaging.pins import (  # noqa: PLC0415
-        count_off_module_links,
+    from repro.packaging.pins import count_off_module_links  # noqa: PLC0415
+    from tests.oracles.packaging import (  # noqa: PLC0415
         count_off_module_links_legacy,
     )
 
@@ -466,8 +470,10 @@ def bench_benes(
 
     from repro.algorithms.benes_routing import (  # noqa: PLC0415
         apply_settings_batch,
-        route_permutation_legacy,
         route_permutations,
+    )
+    from tests.oracles.algorithms import (  # noqa: PLC0415
+        route_permutation_legacy,
     )
 
     rng = np.random.default_rng(12345)
@@ -552,6 +558,7 @@ def bench_backends(repeats: int = 3) -> Dict:
     from repro.packaging.partition import RowPartition  # noqa: PLC0415
     from repro.packaging.pins import count_off_module_links  # noqa: PLC0415
     from repro.topology.complete import complete_multigraph  # noqa: PLC0415
+    from tests.oracles.backend import PythonBackend  # noqa: PLC0415
 
     rng = np.random.default_rng(7)
     perms = np.array([rng.permutation(256) for _ in range(128)])
@@ -581,15 +588,19 @@ def bench_backends(repeats: int = 3) -> Dict:
             return bool(np.array_equal(ref.crossed, got.crossed))
         return ref == got
 
-    names = available_backends()
+    # registered backends go by name; the interpreted conformance backend
+    # from tests/oracles/ goes as an instance
+    backends = {name: name for name in available_backends()}
+    backends["python"] = PythonBackend()
+    names = list(backends)
     matrix: Dict[str, Dict[str, Dict]] = {}
     for ename, run in engines:
         ref = run("numpy")
         row: Dict[str, Dict] = {}
-        for bname in names:
-            got = run(bname)  # warm-up (jit compile on numba) + parity
+        for bname, be in backends.items():
+            got = run(be)  # warm-up (jit compile on numba) + parity
             cell = {
-                "s": _best_of(lambda: run(bname), repeats),
+                "s": _best_of(lambda: run(be), repeats),
                 "parity": _same(ename, ref, got),
             }
             row[bname] = cell
