@@ -78,6 +78,13 @@ def _default_drain(n: int) -> int:
     return _DRAIN_FACTOR * (n + 1)
 
 
+def _default_warmup(cycles: int) -> int:
+    """Warmup when none is given: 200 cycles, as always, for runs longer
+    than that (so their results and cached answers do not move); half
+    the run for shorter ones, which used to have no measured window."""
+    return 200 if cycles > 200 else cycles // 2
+
+
 def _qid_layout(n: int, B: int) -> Tuple[int, int, int, int]:
     """Global queue-id layout for a ``B``-job batch on ``B_n``.
 
@@ -253,11 +260,20 @@ class SimResult:
         return self.delivered_total / max(self.offered, 1)
 
 
-def _validate(n: int, rate_per_input: float, cycles: int) -> None:
+def _validate(
+    n: int, rate_per_input: float, cycles: int, warmup: int = 0
+) -> None:
     if not 0 < rate_per_input <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate_per_input}")
     if n < 1 or cycles < 1:
         raise ValueError("need n >= 1 and cycles >= 1")
+    if not 0 <= warmup < cycles:
+        # warmup >= cycles leaves no measured window: offered would be 0
+        # and every ratio over it meaningless
+        raise ValueError(
+            f"warmup must be in [0, cycles), got warmup={warmup} "
+            f"with cycles={cycles}"
+        )
 
 
 def _run_batch(
@@ -294,7 +310,7 @@ def _run_batch(
     each job alone.  ``trace`` is honoured for single-job batches only.
     """
     for rate, _seed in jobs:
-        _validate(n, rate, cycles)
+        _validate(n, rate, cycles, warmup)
     if drain is None:
         drain = _default_drain(n)
     be = get_backend(backend)
@@ -565,7 +581,7 @@ def simulate_butterfly_queued(
     n: int,
     rate_per_input: float,
     cycles: int = 2000,
-    warmup: int = 200,
+    warmup: Optional[int] = None,
     seed: int = 0,
     drain: Optional[int] = None,
     trace: bool = False,
@@ -579,11 +595,15 @@ def simulate_butterfly_queued(
     scatter moves the packets on (reproducing the reference enqueue
     order — cycle, then source row — exactly, so results match the
     pure-Python loop in ``tests/oracles/algorithms.py`` packet for
-    packet).  After the measured window, up to ``drain`` extra cycles
-    (default ``4 * (n + 1)``) run without injections so in-flight
-    packets are not misread as losses.  With ``trace=True`` the result carries a
-    per-cycle :class:`StatsTrace`.
+    packet).  The first ``warmup`` cycles (default 200, or ``cycles // 2``
+    for runs of at most 200 cycles) inject but are not measured;
+    ``warmup >= cycles`` is a ``ValueError``.  After the measured window,
+    up to ``drain`` extra cycles (default ``4 * (n + 1)``) run without
+    injections so in-flight packets are not misread as losses.  With
+    ``trace=True`` the result carries a per-cycle :class:`StatsTrace`.
     """
+    if warmup is None:
+        warmup = _default_warmup(cycles)
     return _run_batch(
         n, [(rate_per_input, seed)], cycles, warmup, drain, trace=trace,
         backend=backend,
@@ -621,7 +641,7 @@ def sweep_rates(
     rates: Sequence[float],
     *,
     cycles: int = 1500,
-    warmup: int = 200,
+    warmup: Optional[int] = None,
     seeds: Sequence[int] = (0,),
     drain: Optional[int] = None,
     workers: Optional[int] = None,
@@ -639,8 +659,11 @@ def sweep_rates(
     injection arrays once and publishes them through one shared-memory
     block; workers attach zero-copy views instead of re-pickling the
     arrays per job.  The grouping never changes the numbers: every
-    grouping is bit-identical to running each job alone.
+    grouping is bit-identical to running each job alone.  ``warmup``
+    defaults as in :func:`simulate_butterfly_queued`.
     """
+    if warmup is None:
+        warmup = _default_warmup(cycles)
     jobs = [(float(rate), int(s)) for rate in rates for s in seeds]
     batch = max(1, batch)
     chunk_jobs = [jobs[i : i + batch] for i in range(0, len(jobs), batch)]

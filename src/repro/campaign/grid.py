@@ -169,7 +169,23 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
         raise GridError(f"bad track_order {cfg['track_order']!r}")
     for k in ("node_side", "cycles", "warmup", "benes_batch", "sat_max_n", "seed"):
         cfg[k] = _as_int(cfg[k], f"config.{k}")
-    cfg["threshold"] = float(cfg["threshold"])
+    # the simulator's own bounds, checked at grid time so a bad config
+    # fails here instead of in every saturation stage
+    if cfg["cycles"] < 1:
+        raise GridError(f"config.cycles must be >= 1, got {cfg['cycles']}")
+    if not 0 <= cfg["warmup"] < cfg["cycles"]:
+        raise GridError(
+            f"config.warmup must be in [0, cycles), got {cfg['warmup']} "
+            f"with cycles={cfg['cycles']}"
+        )
+    thr = cfg["threshold"]
+    if isinstance(thr, bool) or not isinstance(thr, (int, float)):
+        raise GridError(f"config.threshold must be a number, got {thr!r}")
+    cfg["threshold"] = float(thr)
+    if not 0.0 < cfg["threshold"] <= 1.0:
+        raise GridError(
+            f"config.threshold must be in (0, 1], got {cfg['threshold']}"
+        )
     for k in EXEC_CONFIG_KEYS:
         if cfg[k] is not None:
             v = _as_int(cfg[k], f"config.{k}")

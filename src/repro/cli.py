@@ -240,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--rates", type=_float_list, default=None,
                     help="comma list of rates: sweep mode, e.g. 0.2,0.5,0.8")
     si.add_argument("--cycles", type=int, default=2000)
-    si.add_argument("--warmup", type=int, default=200)
+    si.add_argument("--warmup", type=int, default=None,
+                    help="unmeasured warmup cycles, below --cycles "
+                         "(default 200, or cycles // 2 for runs of at "
+                         "most 200 cycles)")
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--seeds", type=_int_list, default=None,
                     help="comma list of seeds (sweep mode)")
@@ -762,7 +765,9 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    from .algorithms.queued_routing import simulate_butterfly_queued, sweep_rates
+    from .algorithms.queued_routing import (
+        _default_warmup, simulate_butterfly_queued, sweep_rates,
+    )
 
     if args.saturation:
         result = _service_query(
@@ -781,25 +786,34 @@ def _cmd_sim(args) -> int:
     rates = list(args.rates) if args.rates else [args.rate]
     seeds = list(args.seeds) if args.seeds else [args.seed]
     want_trace = bool(args.trace_csv or args.trace_json)
-    if len(rates) * len(seeds) == 1:
-        res = simulate_butterfly_queued(
-            args.n, rates[0], cycles=args.cycles, warmup=args.warmup,
-            seed=seeds[0], drain=args.drain, trace=want_trace,
-        )
-        if args.trace_csv:
-            print(f"wrote {res.trace.to_csv(args.trace_csv)}")
-        if args.trace_json:
-            print(f"wrote {res.trace.to_json(args.trace_json)}")
-        results = [res]
-    else:
-        if want_trace:
-            print("--trace-* apply to single runs only", file=sys.stderr)
-            return 2
-        results = sweep_rates(
-            args.n, rates, cycles=args.cycles, warmup=args.warmup,
-            seeds=seeds, drain=args.drain, workers=args.workers,
-            batch=args.batch,
-        )
+    # resolved here so the engine (or a stand-in) always gets an int
+    warmup = (args.warmup if args.warmup is not None
+              else _default_warmup(args.cycles))
+    if want_trace and len(rates) * len(seeds) > 1:
+        print("--trace-* apply to single runs only", file=sys.stderr)
+        return 2
+    try:
+        if len(rates) * len(seeds) == 1:
+            res = simulate_butterfly_queued(
+                args.n, rates[0], cycles=args.cycles, warmup=warmup,
+                seed=seeds[0], drain=args.drain, trace=want_trace,
+            )
+            results = [res]
+        else:
+            results = sweep_rates(
+                args.n, rates, cycles=args.cycles, warmup=warmup,
+                seeds=seeds, drain=args.drain, workers=args.workers,
+                batch=args.batch,
+            )
+    except ValueError as e:
+        # an engine rejection (bad rate, empty measured window, ...) is a
+        # usage error like argparse's
+        print(f"sim: {e}", file=sys.stderr)
+        return 2
+    if args.trace_csv:
+        print(f"wrote {res.trace.to_csv(args.trace_csv)}")
+    if args.trace_json:
+        print(f"wrote {res.trace.to_json(args.trace_json)}")
     rows = []
     for i, res in enumerate(results):
         rows.append(

@@ -59,6 +59,7 @@ from .grid_scheme import (
     max_wire_bounds,
 )
 from .model import Layout, LayoutModel, multilayer_model, thompson_model
+from .nodetable import NodeTable
 from .tracks import TrackGrouping, base_layer_pair
 from .validate import (
     ValidationReport,
@@ -88,6 +89,7 @@ __all__ = [
     "THOMPSON_LAYERS",
     "Layout",
     "LayoutModel",
+    "NodeTable",
     "thompson_model",
     "multilayer_model",
     "ValidationReport",

@@ -62,8 +62,8 @@ import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
-    Tuple,
+    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -84,7 +84,8 @@ from .grid2d import (
 from .grid_scheme import GridDims, grid_dims
 from .grid_table import _cats_table, _grid_cats, build_grid_nodes
 from .model import LayoutModel, multilayer_model, thompson_model
-from .netcode import NetCodec, NetInterner
+from .netcode import NetCodec, NetInterner, NodeCodec
+from .nodetable import NodeTable
 from .validate import (
     MAX_ERRORS_KEPT,
     ValidationReport,
@@ -94,7 +95,6 @@ from .validate import (
     _canon_edge,
     _canon_net_rows,
     _node_bands,
-    _node_index,
     _realizes_fallback,
     _staged_nodes_placed,
     _terminal_points,
@@ -165,11 +165,13 @@ class ChunkedBuild:
     deterministic, so the stream is restartable).  ``nodes`` and
     ``model`` are materialised eagerly — they are O(network size), not
     O(wires) — which is exactly what the chunked validator needs.
+    ``nodes`` is a :class:`NodeTable` for the grid and collinear sources
+    (a read-only ``{key: Rect}`` mapping too) and a dict for grid2d.
     """
 
     name: str
     model: LayoutModel
-    nodes: Dict[Hashable, Rect]
+    nodes: Mapping[Hashable, Rect]
     chunk_wires: int
     memory_budget_bytes: Optional[int]
     num_wires: Optional[int] = None
@@ -365,6 +367,7 @@ def chunked_collinear_table(
             np.arange(cn + 1, dtype=np.int64) * 3,
             flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
             net_code=None if codec is None else codec.pack(a, b, copy),
+            net_codec=codec,
         )
 
     descriptors = [
@@ -380,7 +383,10 @@ def chunked_collinear_table(
             None if node_side is None else int(node_side),
             order, memory_budget_bytes,
         )
-    nodes = {a: Rect(a * pitch, 0, side, side) for a in range(n)}
+    a = np.arange(n, dtype=np.int64)
+    sides = np.full(n, side, dtype=np.int64)
+    nodes = NodeTable(a, a * pitch, np.zeros(n, dtype=np.int64), sides,
+                      sides, codec=NodeCodec("int", (n,)))
     return ChunkedBuild(
         name=f"collinear-K{n}x{multiplicity}",
         model=model or thompson_model(),
@@ -698,18 +704,14 @@ class ChunkStats:
                 )
 
     def summary(self, nodes, model: LayoutModel) -> Dict[str, int]:
-        xs: List[int] = []
-        ys: List[int] = []
-        for r in nodes.values():
-            xs.extend((r.x, r.x2))
-            ys.extend((r.y, r.y2))
-        if self.box is not None:
-            xs.extend((self.box[0], self.box[2]))
-            ys.extend((self.box[1], self.box[3]))
-        if not xs:
+        """The summary dict; ``nodes`` is a :class:`NodeTable` or a
+        ``{key: Rect}`` mapping."""
+        nodes = NodeTable.of(nodes)
+        boxes = [b for b in (nodes.bounding_box(), self.box) if b is not None]
+        if not boxes:
             raise ValueError("empty layout")
-        width = max(xs) - min(xs)
-        height = max(ys) - min(ys)
+        width = max(b[2] for b in boxes) - min(b[0] for b in boxes)
+        height = max(b[3] for b in boxes) - min(b[1] for b in boxes)
         return {
             "nodes": len(nodes),
             "wires": self.wires,
@@ -1015,6 +1017,11 @@ class ChunkedValidator:
     Nets travel as int64 codes.  With a ``net_decoder`` every chunk must
     carry a ``net_code`` column that it decodes; without one the
     validator interns each chunk's nets itself.
+
+    ``nodes`` is a :class:`NodeTable` or a ``{key: Rect}`` mapping,
+    converted once; the node-side checks read its columns, and chunks
+    whose codes carry their codec find their wires' endpoint nodes from
+    the codes, exactly like :func:`validate_table`.
     """
 
     def __init__(
@@ -1029,7 +1036,7 @@ class ChunkedValidator:
         spill_dir: Optional[str] = None,
         net_decoder: Optional[Callable[[int], Hashable]] = None,
     ) -> None:
-        self.nodes = nodes
+        self.nodes = NodeTable.of(nodes)
         self.model = model
         self.graph = graph
         self.check_nodes = check_nodes
@@ -1075,10 +1082,9 @@ class ChunkedValidator:
         self._gw_count = 0
         self._bend_count = 0
         self._term_count = 0
-        # node-side indexes over the (fixed) nodes, built on the first
+        # node band indexes over the (fixed) nodes, built on the first
         # feed — a parallel reducer never feeds, so never builds them
-        self._node_idx = None
-        self._bi: Dict[bool, _BandIndex] = {}
+        self._bi: Optional[Dict[bool, _BandIndex]] = None
         # realizes-graph: every fed net code, for an exact Counter built
         # only if the array fast path (kept while viable) fails
         self._codes: List[np.ndarray] = []
@@ -1090,9 +1096,9 @@ class ChunkedValidator:
     # -- feeding ---------------------------------------------------------
 
     def _build_indexes(self) -> None:
-        self._node_idx = _node_index(self.nodes)
-        if self.check_nodes and self.nodes:
-            self._bi = _node_bands(self._node_idx)
+        self._bi = {}
+        if self.check_nodes and len(self.nodes):
+            self._bi = _node_bands(self.nodes)
 
     def _net_codes(self, t: WireTable) -> np.ndarray:
         if self._interner is not None:
@@ -1106,14 +1112,14 @@ class ChunkedValidator:
     def feed(self, t: WireTable) -> None:
         if self._finalized:
             raise RuntimeError("validator already finalized")
-        if self._node_idx is None:
+        if self._bi is None:
             self._build_indexes()
         codes = self._net_codes(t)
         tmp = ValidationReport(ok=True)
         _vt_layer_discipline(t, self.model, tmp)
         self._t_layer.add(tmp.num_errors, tmp.errors)
         tmp = ValidationReport(ok=True)
-        _vt_contiguity_terminals(t, self.nodes, tmp, index=self._node_idx)
+        _vt_contiguity_terminals(t, self.nodes, tmp)
         self._t_contig.add(tmp.num_errors, tmp.errors)
 
         ns = t.num_segments
@@ -1136,7 +1142,7 @@ class ChunkedValidator:
             self._codes.append(codes.copy())
             if self._fast is not None and t.num_wires:
                 f = self._fast
-                rows = _canon_net_rows(t.nets, f["k"], f["kk"])
+                rows = _canon_net_rows(t, f["k"], f["kk"])
                 if rows is None:
                     self._fast = None
                 else:
@@ -1222,7 +1228,7 @@ class ChunkedValidator:
         self._term_count += 2 * n_gw
 
     def _feed_avoid(self, t: WireTable) -> None:
-        if self.nodes and t.num_segments:
+        if len(self.nodes) and t.num_segments:
             self._t_avoid.add(*_avoid_hits(t, self._bi))
 
     # -- finalization ----------------------------------------------------
@@ -1365,7 +1371,7 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
         _bulk(rep, v._t_avoid.count, iter(v._t_avoid.msgs))
     if v.graph is not None:
         rep.checks_run.append("realizes-graph")
-        placed = set(v.nodes)
+        placed = v.nodes
         ok = False
         f = v._fast
         # zero wires fed: monolithic _canon_net_rows([]) returns None

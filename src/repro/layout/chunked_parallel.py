@@ -66,13 +66,13 @@ from .chunked import (
     _fast_add,
     _fast_fold,
     _fast_stub,
-    _fast_template,
     _reduce_finalize,
     _sweep_job,
     chunked_collinear_table,
     chunked_grid_table,
 )
 from .netcode import NetInterner
+from .nodetable import NodeTable
 from .validate import ValidationReport
 
 __all__ = ["parallel_validate"]
@@ -333,6 +333,8 @@ def parallel_validate(
         raise ValueError(
             "nodes and model are required when source is not a ChunkedBuild"
         )
+    # converted once here, so buffered spans ship columns, not Rects
+    nodes = NodeTable.of(nodes)
     recipe_mode = (
         build is not None
         and build.recipe is not None
@@ -345,10 +347,11 @@ def parallel_validate(
         weights = build.descriptor_weights or [1] * len(items)
     else:
         # buffered: one parent-side interner gives every span's tables
-        # codes in a single global code space before the split
+        # codes in a single global code space before the split (interned
+        # codes have no codec)
         decoder = NetInterner()
         items = [
-            replace(t, net_code=decoder.codes(t.nets))
+            replace(t, net_code=decoder.codes(t.nets), net_codec=None)
             for t in (build.chunks() if build is not None else source)
         ]
         weights = [max(t.num_wires, 1) for t in items]
@@ -370,8 +373,6 @@ def parallel_validate(
     w = min(w, n_items)
     bounds = _span_bounds(weights, w)
     backend_name = _backend_name(backend)
-    fast_tpl = _fast_template(graph) if graph is not None else None
-    fast_kk = (fast_tpl["k"], fast_tpl["kk"]) if fast_tpl is not None else None
     if recipe_mode:
         # forked workers inherit the already-built source for free
         _RECIPE_CACHE.setdefault(build.recipe, build)
@@ -384,6 +385,16 @@ def parallel_validate(
         else:
             os.makedirs(spill_dir, exist_ok=True)
             root = spill_dir
+        v = ChunkedValidator(
+            nodes, model, graph=graph, check_nodes=check_nodes,
+            check_vias=check_vias, backend=backend,
+            num_buckets=num_buckets,
+            spill_dir=os.path.join(root, "reduce"),
+            net_decoder=decoder,
+        )
+        # workers accumulate the realizes-graph fast path in the
+        # reducer's edge-row shape
+        fast_kk = None if v._fast is None else (v._fast["k"], v._fast["kk"])
         pack = None
         if recipe_mode and w > 1 and build._bulk is not None:
             bulk = build._bulk()
@@ -409,13 +420,6 @@ def parallel_validate(
         else:
             results = [_feed_span(p) for p in payloads]
 
-        v = ChunkedValidator(
-            nodes, model, graph=graph, check_nodes=check_nodes,
-            check_vias=check_vias, backend=backend,
-            num_buckets=num_buckets,
-            spill_dir=os.path.join(root, "reduce"),
-            net_decoder=decoder,
-        )
         _merge_results(v, results, graph is not None)
         v._finalized = True
 

@@ -27,11 +27,17 @@ The construction mirrors that builder category by category:
 Finally all categories are concatenated and permuted into the legacy
 emission order (blocks by id — boundaries by stage — items by rank, then
 channel groups in sorted key order).
+
+The table carries the :class:`~repro.layout.netcode.NetCodec` net codes
+beside the net tuples, and :func:`build_grid_nodes` emits the node
+footprints as a :class:`~repro.layout.nodetable.NodeTable` keyed by
+packed ``(row, stage)`` codes.  The two code spaces agree, so the
+validator finds each wire's endpoint nodes by array lookup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +45,9 @@ from ..topology.bits import level_swap_array
 from ..transform.swap_butterfly import ExchangeBoundary, SwapButterfly
 from .collinear import TrackOrder, track_assignment
 from .collinear_generic import left_edge_tracks
-from .geometry import Rect
 from .grid_scheme import GridDims, _column_union_graph
-from .netcode import GRID_KINDS, NetCodec
+from .netcode import GRID_KINDS, NetCodec, NodeCodec
+from .nodetable import NodeTable
 from .tracks import TrackGrouping, base_layer_pair
 from .wiretable import WireTable
 
@@ -52,24 +58,30 @@ _SLOT_OUT = (2, 1)  # by kind code (sc, ss); 'cross' shares slot 1
 _SLOT_IN = (4, 3)
 
 
-def build_grid_nodes(sb: SwapButterfly, dims: GridDims) -> Dict[Hashable, Rect]:
-    """Node rectangles of the full grid layout, in legacy insertion order
-    (blocks by id, stages major, local rows minor)."""
+def build_grid_nodes(sb: SwapButterfly, dims: GridDims) -> NodeTable:
+    """Node footprints of the full grid layout as a :class:`NodeTable`
+    keyed ``(row, stage)``, in legacy insertion order (blocks by id,
+    stages major, local rows minor)."""
     bd = dims.block
     k2 = dims.ks[1]
     gc = dims.grid_cols
     R = bd.nrows
-    W = bd.W
-    nodes: Dict[Hashable, Rect] = {}
-    for bid in range(dims.grid_rows * gc):
-        ox = (bid & (gc - 1)) * dims.cell_w
-        oy = (bid >> k2) * dims.cell_h
-        row0 = bid << dims.ks[0]
-        for s in range(sb.n + 1):
-            x = bd.colx[s] + ox
-            for rr in range(R):
-                nodes[(row0 + rr, s)] = Rect(x, bd.row_y(rr) + oy, W, W)
-    return nodes
+    S = sb.stages
+    # (block, stage, local row) grid, raveled block-major
+    bid = np.arange(dims.grid_rows * gc, dtype=np.int64)[:, None, None]
+    s = np.arange(S, dtype=np.int64)[None, :, None]
+    rr = np.arange(R, dtype=np.int64)[None, None, :]
+    shape = (len(bid), S, R)
+    colx = np.asarray(bd.colx, dtype=np.int64)
+    x = colx[s] + (bid & (gc - 1)) * dims.cell_w
+    y = bd.rows_base + rr * bd.row_pitch + (bid >> k2) * dims.cell_h
+    code = ((bid << dims.ks[0]) + rr) * S + s
+    side = np.full(shape, bd.W, dtype=np.int64)
+    return NodeTable(
+        np.broadcast_to(code, shape), np.broadcast_to(x, shape),
+        np.broadcast_to(y, shape), side, side,
+        codec=NodeCodec("grid", (sb.rows, S)),
+    )
 
 
 def _pair_layers(L: int, horizontal: bool, group: np.ndarray):
@@ -86,15 +98,15 @@ def _pair_layers(L: int, horizontal: bool, group: np.ndarray):
 class _Cat:
     """One category of wires with a uniform per-wire segment count."""
 
-    __slots__ = ("nets", "codes", "segs", "keys")
+    __slots__ = ("nets", "codes", "codec", "segs", "keys")
 
     def __init__(
-        self, nets: Tuple[List, Optional[np.ndarray]], segs: np.ndarray,
-        keys: np.ndarray,
+        self, nets: Tuple[List, Optional[np.ndarray], Optional[NetCodec]],
+        segs: np.ndarray, keys: np.ndarray,
     ) -> None:
-        # nets: (net tuples, net codes or None); segs: (nw, c, 5) int64;
-        # keys: (nw, 6) int64
-        self.nets, self.codes = nets
+        # nets: (net tuples, net codes or None, their codec);
+        # segs: (nw, c, 5) int64; keys: (nw, 6) int64
+        self.nets, self.codes, self.codec = nets
         self.segs = segs
         self.keys = keys
 
@@ -105,7 +117,7 @@ class _Cat:
             self.nets,
             np.arange(nw + 1, dtype=np.int64) * c,
             flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
-            net_code=self.codes,
+            net_code=self.codes, net_codec=self.codec,
         )
 
 
@@ -143,11 +155,14 @@ def build_grid_table(
     recirculating: bool = False,
 ) -> WireTable:
     """All wires of the grid layout as one :class:`WireTable`, ordered
-    exactly like the legacy builder's ``layout.wires`` list."""
+    exactly like the legacy builder's ``layout.wires`` list, with the
+    :class:`NetCodec` ``net_code`` column the chunked source emits too
+    (none if the codec would overflow int64)."""
     NB = dims.grid_rows * dims.grid_cols
     cats = _grid_cats(
         sb, dims, track_order, recirculating,
         np.arange(NB, dtype=np.int64), frozenset(_PHASES),
+        codec=NetCodec.grid(sb.rows, sb.stages),
     )
     return _cats_table(cats)
 
@@ -239,10 +254,11 @@ def _grid_cats(
             k[:, i] = c
         return k
 
-    def net_list(a, b, sa, sbb, kind) -> Tuple[List, Optional[np.ndarray]]:
-        """Nets ``((a, sa), (b, sbb), kind)`` and their codes (``None``
-        without a codec); ``kind`` is a string or a per-wire code array
-        into ``_KIND``; ``sa``/``sbb`` are ints or per-wire arrays."""
+    def net_list(a, b, sa, sbb, kind):
+        """Nets ``((a, sa), (b, sbb), kind)``, their codes and codec
+        (``None``, ``None`` without a codec); ``kind`` is a string or a
+        per-wire code array into ``_KIND``; ``sa``/``sbb`` are ints or
+        per-wire arrays."""
         kc = _KIND.index(kind) if isinstance(kind, str) else kind
         codes = None if codec is None else codec.pack(a, sa, b, sbb, kc)
         al, bl = a.tolist(), b.tolist()
@@ -251,12 +267,14 @@ def _grid_cats(
                 ((x, p), (y, q), _KIND[k]) for x, p, y, q, k in zip(
                     al, sa.tolist(), bl, sbb.tolist(), kc.tolist()
                 )
-            ], codes
+            ], codes, codec
         if isinstance(kind, str):
-            return [((x, sa), (y, sbb), kind) for x, y in zip(al, bl)], codes
+            return [
+                ((x, sa), (y, sbb), kind) for x, y in zip(al, bl)
+            ], codes, codec
         return [
             ((x, sa), (y, sbb), _KIND[k]) for x, y, k in zip(al, bl, kc.tolist())
-        ], codes
+        ], codes, codec
 
     # stub accumulators (one row per inter-block link endpoint)
     o_u: List[np.ndarray] = []

@@ -1,11 +1,12 @@
 """Layout container and layout-model rule descriptors.
 
 A :class:`Layout` is a concrete embedding: node rectangles plus routed
-wires on numbered layers.  A :class:`LayoutModel` states which rules the
-embedding claims to satisfy (how many wiring layers, whether nodes must
-sit on the first layer, node-size range) so the validator knows what to
-check.  ``thompson_model()`` and ``multilayer_model(L)`` construct the two
-rule sets used in the paper.
+wires on numbered layers, each held as objects or as columns.  A
+:class:`LayoutModel` states which rules the embedding claims to satisfy
+(how many wiring layers, whether nodes must sit on the first layer,
+node-size range) so the validator knows what to check.
+``thompson_model()`` and ``multilayer_model(L)`` construct the two rule
+sets used in the paper.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
 from .geometry import Rect, Wire
+from .nodetable import NodeTable
 
 __all__ = ["LayoutModel", "Layout", "thompson_model", "multilayer_model"]
 
@@ -81,20 +83,30 @@ class Layout:
     Node ids are the graph's node ids (ints or tuples).  The layout does
     not interpret them; validators compare against a target graph.
 
-    Wires are stored either as a list of :class:`Wire` objects or as a
-    columnar :class:`~repro.layout.wiretable.WireTable` (what the
-    vectorized builders emit).  The two are interchangeable: accessing
-    ``.wires`` on a table-backed layout materialises objects lazily (and
-    drops the table, since the returned list may be mutated in place),
-    while ``wire_table()`` hands the native table to vectorized consumers
-    without any object churn.
+    Both halves have an object form and a columnar form, and a layout
+    holds whichever its builder emitted:
+
+    * wires — a list of :class:`Wire` objects or a
+      :class:`~repro.layout.wiretable.WireTable` (what the vectorized
+      builders emit);
+    * nodes — a ``{key: Rect}`` dict or a
+      :class:`~repro.layout.nodetable.NodeTable` (what the grid builder
+      emits).
+
+    The forms are interchangeable.  Reading ``.wires`` / ``.nodes`` on a
+    columnar layout materialises the objects once and drops the column
+    form, since the returned list or dict may be mutated in place; from
+    then on the objects are authoritative.  ``wire_table()`` /
+    ``node_table()`` hand the columns to vectorized consumers — the
+    native ones while untouched, else a fresh conversion of the
+    (possibly mutated) objects.
     """
 
     def __init__(
         self,
         model: LayoutModel,
         name: str = "",
-        nodes: Dict[Hashable, Rect] = None,
+        nodes=None,
         wires: List[Wire] = None,
         table=None,
     ) -> None:
@@ -102,7 +114,7 @@ class Layout:
             raise ValueError("pass either wires or table, not both")
         self.model = model
         self.name = name
-        self.nodes: Dict[Hashable, Rect] = {} if nodes is None else nodes
+        self.nodes = {} if nodes is None else nodes
         self._wires: List[Wire] = (
             wires if wires is not None else ([] if table is None else None)
         )
@@ -122,6 +134,23 @@ class Layout:
         self._table = None
 
     @property
+    def nodes(self) -> Dict[Hashable, Rect]:
+        """The nodes as a ``{key: Rect}`` dict.  Assigning a dict or a
+        :class:`NodeTable` replaces them; a table is kept as is."""
+        if self._nodes is None:
+            self._nodes = self._node_table.to_dict()
+            # The dict may be mutated by callers; the table would go stale.
+            self._node_table = None
+        return self._nodes
+
+    @nodes.setter
+    def nodes(self, value) -> None:
+        if isinstance(value, NodeTable):
+            self._nodes, self._node_table = None, value
+        else:
+            self._nodes, self._node_table = value, None
+
+    @property
     def has_native_table(self) -> bool:
         """True while the wires still live only in columnar form."""
         return self._table is not None
@@ -135,6 +164,19 @@ class Layout:
         from .wiretable import WireTable
 
         return WireTable.from_wires(self.wires)
+
+    def node_table(self) -> NodeTable:
+        """The layout's nodes as a :class:`NodeTable` — the native table
+        while ``.nodes`` is untouched, else a fresh conversion of the
+        (possibly mutated) dict."""
+        if self._node_table is not None:
+            return self._node_table
+        return NodeTable.of(self._nodes)
+
+    def num_nodes(self) -> int:
+        if self._node_table is not None:
+            return len(self._node_table)
+        return len(self._nodes)
 
     def add_node(self, node: Hashable, rect: Rect) -> None:
         if node in self.nodes:
@@ -150,24 +192,22 @@ class Layout:
     def bounding_box(self) -> Tuple[int, int, int, int]:
         """``(x_min, y_min, x_max, y_max)`` over all nodes and wires —
         the paper's smallest upright encompassing rectangle."""
-        xs: List[int] = []
-        ys: List[int] = []
-        for r in self.nodes.values():
-            xs.extend((r.x, r.x2))
-            ys.extend((r.y, r.y2))
+        boxes = [self.node_table().bounding_box()]
         if self._table is not None:
-            box = self._table.bounding_box()
-            if box is not None:
-                xs.extend((int(box[0]), int(box[2])))
-                ys.extend((int(box[1]), int(box[3])))
+            boxes.append(self._table.bounding_box())
         else:
-            for w in self.wires:
-                for s in w.segments:
-                    xs.extend((s.x1, s.x2))
-                    ys.extend((s.y1, s.y2))
-        if not xs:
+            segs = [s for w in self.wires for s in w.segments]
+            if segs:
+                # segments are normalized: x1 <= x2 and y1 <= y2
+                boxes.append((
+                    min(s.x1 for s in segs), min(s.y1 for s in segs),
+                    max(s.x2 for s in segs), max(s.y2 for s in segs),
+                ))
+        boxes = [b for b in boxes if b is not None]
+        if not boxes:
             raise ValueError("empty layout")
-        return (min(xs), min(ys), max(xs), max(ys))
+        return (min(b[0] for b in boxes), min(b[1] for b in boxes),
+                max(b[2] for b in boxes), max(b[3] for b in boxes))
 
     @property
     def width(self) -> int:
@@ -220,14 +260,17 @@ class Layout:
 
     def summary(self) -> Dict[str, int]:
         """One-stop metrics dict used by benches and EXPERIMENTS.md."""
+        x1, y1, x2, y2 = self.bounding_box()
+        width, height = x2 - x1, y2 - y1
+        area = width * height
         return {
-            "nodes": len(self.nodes),
+            "nodes": self.num_nodes(),
             "wires": self.num_wires(),
             "segments": self.segment_count(),
-            "width": self.width,
-            "height": self.height,
-            "area": self.area,
-            "volume": self.volume,
+            "width": width,
+            "height": height,
+            "area": area,
+            "volume": area * self.model.num_layers,
             "layers": self.model.num_layers,
             "max_wire_length": self.max_wire_length(),
             "total_wire_length": self.total_wire_length(),

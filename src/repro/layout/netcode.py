@@ -17,6 +17,13 @@ Two ways to get codes:
   not fit in int64, and callers then fall back to interning.
 * :class:`NetInterner` — assigns codes in first-seen order to arbitrary
   hashable nets (grid2d sources, plain chunk iterables).
+
+A :class:`NodeCodec` packs the node keys of the same builders
+(grid ``(row, stage)``, collinear ``a``) the same way.  A net code's
+endpoint fields are node keys, so :meth:`NetCodec.endpoints` turns a
+code column into the two endpoint node-code columns without building a
+tuple: that is how the validator finds each wire's endpoint nodes in a
+:class:`~repro.layout.nodetable.NodeTable`.
 """
 
 from __future__ import annotations
@@ -25,13 +32,66 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["GRID_KINDS", "NetCodec", "NetInterner"]
+__all__ = ["GRID_KINDS", "NetCodec", "NetInterner", "NodeCodec"]
 
 #: net kind strings of the grid scheme, by kind code; ``sc``/``ss`` keep
 #: the codes the grid planner already uses for them
 GRID_KINDS = ("sc", "ss", "straight", "cross", "feedback")
 
 _INT64_CODES = 1 << 63  # codes live in [0, 2**63)
+
+
+class NodeCodec:
+    """Injective packing of structured node keys into int64.
+
+    ``"grid"`` packs ``(row, stage)`` keys over radices ``(rows,
+    stages)`` as ``row * stages + stage``; ``"int"`` keys in
+    ``[0, radices[0])`` are their own codes.  Two codecs are equal iff
+    they pack the same key space.
+    """
+
+    __slots__ = ("shape", "radices")
+
+    def __init__(self, shape: str, radices: Sequence[int]) -> None:
+        if shape not in ("grid", "int"):
+            raise ValueError(f"unknown node shape {shape!r}")
+        self.shape = shape
+        self.radices = tuple(int(r) for r in radices)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, NodeCodec) and other.shape == self.shape
+                and other.radices == self.radices)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.radices))
+
+    def __repr__(self) -> str:
+        return f"NodeCodec({self.shape!r}, {self.radices})"
+
+    @property
+    def arity(self) -> int:
+        """Length of a key tuple; ``0`` for plain-int keys (the ``k`` of
+        the realizes-graph edge rows)."""
+        return 2 if self.shape == "grid" else 0
+
+    def pack_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Codes of an ``(m, max(arity, 1))`` int array of keys; ``-1``
+        for a key outside the codec's key space."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, max(self.arity, 1))
+        ok = np.all((keys >= 0) & (keys < np.asarray(self.radices)), axis=1)
+        if self.shape == "grid":
+            code = keys[:, 0] * np.int64(self.radices[1]) + keys[:, 1]
+        else:
+            code = keys[:, 0]
+        return np.where(ok, code, -1)
+
+    def keys(self, codes: np.ndarray) -> List:
+        """The key objects of a code array, in order."""
+        codes = np.asarray(codes, dtype=np.int64)
+        if self.shape == "int":
+            return codes.tolist()
+        rows, stages = np.divmod(codes, np.int64(self.radices[1]))
+        return list(zip(rows.tolist(), stages.tolist()))
 
 
 class NetCodec:
@@ -81,6 +141,48 @@ class NetCodec:
         for f, r in zip(fields[1:], self.radices[1:]):
             code = code * np.int64(r) + np.asarray(f, dtype=np.int64)
         return np.ascontiguousarray(code, dtype=np.int64)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, NetCodec) and other.shape == self.shape
+                and other.radices == self.radices)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.radices))
+
+    @property
+    def node_codec(self) -> NodeCodec:
+        """The codec of the node keys this codec's nets join."""
+        if self.shape == "grid":
+            return NodeCodec("grid", self.radices[:2])
+        return NodeCodec("int", self.radices[:1])
+
+    def fields(self, codes: np.ndarray) -> List[np.ndarray]:
+        """Vectorized decode: one int64 array per packed field."""
+        rest = np.asarray(codes, dtype=np.int64)
+        out: List[np.ndarray] = []
+        for r in reversed(self.radices[1:]):
+            rest, x = np.divmod(rest, np.int64(r))
+            out.append(x)
+        out.append(rest)
+        out.reverse()
+        return out
+
+    def endpoint_keys(self, codes: np.ndarray) -> np.ndarray:
+        """``(wires, 2 * max(arity, 1))`` int64 rows of both endpoint
+        keys, first endpoint first — ``n[0] + n[1]`` of grid net tuples,
+        ``(n[0], n[1])`` of collinear ones."""
+        f = self.fields(codes)
+        ends = f[:4] if self.shape == "grid" else f[:2]
+        return np.stack(ends, axis=1)
+
+    def endpoints(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Node codes (under :attr:`node_codec`) of every net's first and
+        second endpoint."""
+        f = self.fields(codes)
+        if self.shape == "grid":
+            s = np.int64(self.radices[1])
+            return f[0] * s + f[1], f[2] * s + f[3]
+        return f[0], f[1]
 
     def __call__(self, code: int) -> Tuple:
         """The exact net tuple packed into ``code``."""

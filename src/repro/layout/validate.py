@@ -41,6 +41,8 @@ from ..backend import get_backend
 from ..topology.graph import Graph
 from .model import Layout
 from .netcode import NetInterner
+from .nodetable import NodeTable
+from .wiretable import WireTable
 
 __all__ = [
     "ValidationReport",
@@ -101,19 +103,35 @@ def _realizes_graph_fast(nets, placed, graph: Graph) -> bool:
     return _staged_nodes_placed(want_rows, k, kk, placed)
 
 
+def _coded(t) -> bool:
+    """True when ``t`` is a table whose net codes carry their codec."""
+    return (isinstance(t, WireTable) and t.net_code is not None
+            and t.net_codec is not None)
+
+
 def _canon_net_rows(nets, k, kk):
     """Canonicalised ``(lo, hi)`` endpoint rows for uniform int-tuple (or
     plain-int) two-terminal nets, or ``None`` when the nets do not fit the
-    vectorized layout (mixed arity, non-int nodes, ...)."""
-    try:
-        if k:
-            flat = np.array([n[0] + n[1] for n in nets], dtype=np.int64)
-        else:
-            flat = np.array([(n[0], n[1]) for n in nets], dtype=np.int64)
-    except (TypeError, ValueError):
-        return None
-    if flat.ndim != 2 or flat.shape != (len(nets), 2 * kk):
-        return None
+    vectorized layout (mixed arity, non-int nodes, ...).
+
+    ``nets`` is a net list or a :class:`WireTable`; a table whose codec
+    joins ``k``-tuple nodes yields its rows from the net codes, with no
+    tuple touched."""
+    if (_coded(nets) and nets.num_wires
+            and nets.net_codec.node_codec.arity == k):
+        flat = nets.net_codec.endpoint_keys(nets.net_code)
+    else:
+        if isinstance(nets, WireTable):
+            nets = nets.nets
+        try:
+            if k:
+                flat = np.array([n[0] + n[1] for n in nets], dtype=np.int64)
+            else:
+                flat = np.array([(n[0], n[1]) for n in nets], dtype=np.int64)
+        except (TypeError, ValueError):
+            return None
+        if flat.ndim != 2 or flat.shape != (len(nets), 2 * kk):
+            return None
     a, b = flat[:, :kk], flat[:, kk:]
     flip = np.zeros(len(flat), dtype=bool)
     decided = np.zeros(len(flat), dtype=bool)
@@ -127,6 +145,9 @@ def _canon_net_rows(nets, k, kk):
 
 
 def _staged_nodes_placed(want_rows, k, kk, placed) -> bool:
+    """Every endpoint of ``want_rows`` is a key of ``placed`` (a set or a
+    :class:`NodeTable`; a table whose codec packs ``k``-tuple keys
+    answers from the codes)."""
     # a purely staged graph has no isolated nodes, so the edge endpoints
     # are exactly its node set
     ends = want_rows.reshape(-1, kk)
@@ -136,15 +157,22 @@ def _staged_nodes_placed(want_rows, k, kk, placed) -> bool:
         gnodes = Graph._unpack_codes(np.unique(codes), mins, ranges)
     else:
         gnodes = np.unique(ends, axis=0)
+    codec = getattr(placed, "codec", None)
+    if codec is not None and codec.arity == k:
+        return bool(np.all(placed.rows_of(codec.pack_keys(gnodes)) >= 0))
     if k:
         return all(t in placed for t in map(tuple, gnodes.tolist()))
     return all(x in placed for x in gnodes[:, 0].tolist())
 
 
 def _check_realizes_graph(nets, placed, graph: Graph, rep: ValidationReport) -> None:
+    """``nets`` is a net list or a :class:`WireTable`, ``placed`` a set
+    of node keys or a :class:`NodeTable`."""
     rep.checks_run.append("realizes-graph")
     if _realizes_graph_fast(nets, placed, graph):
         return
+    if isinstance(nets, WireTable):
+        nets = nets.nets
     got: Counter = Counter()
     for net in nets:
         u, v = net[0], net[1]
@@ -181,7 +209,8 @@ def _canon_edge(u, v):
 
 def _nodes_disjoint_sweep(nodes, rep: ValidationReport) -> None:
     """Exact pairwise node-overlap sweep: the message source of
-    :func:`_vt_nodes_disjoint` once its array pass finds a violation."""
+    :func:`_vt_nodes_disjoint` once its array pass finds a violation.
+    ``nodes`` is a ``{key: Rect}`` mapping (a :class:`NodeTable` too)."""
     items = sorted(nodes.items(), key=lambda kv: (kv[1].x, kv[1].y))
     active: List[Tuple[Hashable, object]] = []
     for node, r in items:
@@ -254,20 +283,22 @@ def _vt_layer_discipline(t, model, rep: ValidationReport) -> None:
     _bulk(rep, count, msgs())
 
 
-def _node_index(nodes):
-    """Node lookup of :func:`_vt_contiguity_terminals`: ``(key -> row,
-    x, y, x2, y2)`` with one array row per node.  Streaming callers build
-    it once and pass it to every chunk."""
-    nid = {k: i for i, k in enumerate(nodes.keys())}
-    xywh = np.array(
-        [(r.x, r.y, r.w, r.h) for r in nodes.values()], dtype=np.int64
-    ).reshape(-1, 4)
-    x, y = xywh[:, 0], xywh[:, 1]
-    return nid, x, y, x + xywh[:, 2], y + xywh[:, 3]
+def _endpoint_rows(t, nodes: NodeTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Node rows of every wire's first and second net endpoint (``-1``:
+    not placed).  A table whose net codec packs the node table's keys
+    answers by vectorized code lookup; any other table looks its net
+    tuples up in the node table's key index."""
+    if _coded(t) and t.net_codec.node_codec == nodes.codec:
+        a, b = t.net_codec.endpoints(t.net_code)
+        return nodes.rows_of(a), nodes.rows_of(b)
+    nid = nodes.key_index()
+    nw = t.num_wires
+    return (np.fromiter((nid.get(net[0], -1) for net in t.nets), np.int64, nw),
+            np.fromiter((nid.get(net[1], -1) for net in t.nets), np.int64, nw))
 
 
 def _vt_contiguity_terminals(
-    t, nodes, rep: ValidationReport, index=None
+    t, nodes: NodeTable, rep: ValidationReport
 ) -> None:
     rep.checks_run.append("contiguity-terminals")
     nw = t.num_wires
@@ -278,10 +309,9 @@ def _vt_contiguity_terminals(
     sy = paths.py[paths.pt_indptr[:-1]]
     ex = paths.px[paths.pt_indptr[1:] - 1]
     ey = paths.py[paths.pt_indptr[1:] - 1]
-    nid, rx, ry, rx2, ry2 = index if index is not None else _node_index(nodes)
-    ui = np.fromiter((nid.get(net[0], -1) for net in t.nets), np.int64, nw)
-    vi = np.fromiter((nid.get(net[1], -1) for net in t.nets), np.int64, nw)
-    if nid:
+    if len(nodes):
+        ui, vi = _endpoint_rows(t, nodes)
+        rx, ry, rx2, ry2 = nodes.x, nodes.y, nodes.x2, nodes.y2
 
         def on_bd(px_, py_, ridx):
             has = ridx >= 0
@@ -680,16 +710,15 @@ def _vt_terminals_distinct(t, rep: ValidationReport) -> None:
     _bulk(rep, count, (m for _k, m in keyed))
 
 
-def _vt_nodes_disjoint(nodes, rep: ValidationReport, be=None) -> None:
+def _vt_nodes_disjoint(
+    nodes: NodeTable, rep: ValidationReport, be=None
+) -> None:
     rep.checks_run.append("nodes-disjoint")
     n = len(nodes)
     if n < 2:
         return
     be = get_backend(be)
-    rx = np.fromiter((r.x for r in nodes.values()), np.int64, n)
-    ry = np.fromiter((r.y for r in nodes.values()), np.int64, n)
-    rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, n)
-    ry2 = np.fromiter((r.y2 for r in nodes.values()), np.int64, n)
+    rx, ry, rx2, ry2 = nodes.x, nodes.y, nodes.x2, nodes.y2
     order = np.lexsort((rx, ry2, ry))
     Y1, Y2, X1, X2 = ry[order], ry2[order], rx[order], rx2[order]
     new = np.empty(n, dtype=bool)
@@ -797,11 +826,11 @@ class _BandIndex:
         return out
 
 
-def _node_bands(index) -> Dict[bool, _BandIndex]:
-    """Band indexes over the nodes of a :func:`_node_index`: horizontal
-    segments query bands of equal ``[y, y2]``, vertical ones bands of
-    equal ``[x, x2]``."""
-    _nid, rx, ry, rx2, ry2 = index
+def _node_bands(nodes: NodeTable) -> Dict[bool, _BandIndex]:
+    """Band indexes over a node table: horizontal segments query bands
+    of equal ``[y, y2]``, vertical ones bands of equal ``[x, x2]``.
+    Streaming callers build them once and pass them to every chunk."""
+    rx, ry, rx2, ry2 = nodes.x, nodes.y, nodes.x2, nodes.y2
     return {True: _BandIndex(ry, ry2, rx, rx2),
             False: _BandIndex(rx, rx2, ry, ry2)}
 
@@ -838,14 +867,11 @@ def _avoid_hits(t, bands: Dict[bool, _BandIndex]):
     return int(hit.sum()), msgs()
 
 
-def _vt_wires_avoid_nodes(
-    t, nodes, rep: ValidationReport, index=None
-) -> None:
+def _vt_wires_avoid_nodes(t, nodes: NodeTable, rep: ValidationReport) -> None:
     rep.checks_run.append("wires-avoid-nodes")
-    if not nodes or t.num_segments == 0:
+    if not len(nodes) or t.num_segments == 0:
         return
-    bands = _node_bands(index if index is not None else _node_index(nodes))
-    _bulk(rep, *_avoid_hits(t, bands))
+    _bulk(rep, *_avoid_hits(t, _node_bands(nodes)))
 
 
 def validate_table(
@@ -857,13 +883,20 @@ def validate_table(
     check_vias: bool = True,
     backend=None,
 ) -> ValidationReport:
-    """The full rule set over a :class:`WireTable` plus its node
-    rectangles and layout model."""
+    """The full rule set over a :class:`WireTable` plus its nodes and
+    layout model.
+
+    ``nodes`` is a :class:`NodeTable` or a ``{key: Rect}`` mapping,
+    which is converted once.  Every node-side check reads the table's
+    columns.  When the wire table's net codes carry their codec, each
+    wire's endpoint nodes come from the codes by vectorized lookup;
+    otherwise its net tuples are looked up in the node table's key
+    index.  Either way the report is the same."""
     be = get_backend(backend)
     rep = ValidationReport(ok=True)
-    index = _node_index(nodes)
+    nodes = NodeTable.of(nodes)
     _vt_layer_discipline(table, model, rep)
-    _vt_contiguity_terminals(table, nodes, rep, index=index)
+    _vt_contiguity_terminals(table, nodes, rep)
     _vt_track_overlaps(table, rep, be=be)
     if check_vias:
         rep.checks_run.append("via-conflicts")
@@ -873,9 +906,9 @@ def validate_table(
         _vt_terminals_distinct(table, rep)
     if check_nodes:
         _vt_nodes_disjoint(nodes, rep, be=be)
-        _vt_wires_avoid_nodes(table, nodes, rep, index=index)
+        _vt_wires_avoid_nodes(table, nodes, rep)
     if graph is not None:
-        _check_realizes_graph(table.nets, set(nodes), graph, rep)
+        _check_realizes_graph(table, nodes, graph, rep)
     return rep
 
 
@@ -887,11 +920,11 @@ def validate_layout(
     backend=None,
 ) -> ValidationReport:
     """Run the full rule set; returns a report (``.raise_if_failed()`` to
-    assert).  Vectorized: operates on the layout's wire table (native for
-    table-built layouts, converted once otherwise)."""
+    assert).  Vectorized: operates on the layout's wire and node tables
+    (native for table-built layouts, converted once otherwise)."""
     return validate_table(
         layout.wire_table(),
-        layout.nodes,
+        layout.node_table(),
         layout.model,
         graph=graph,
         check_nodes=check_nodes,

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..backend import get_backend
 from .geometry import LayerPair, Segment, Wire
+from .netcode import NetCodec
 
 __all__ = ["WireTable", "WireTableBuilder", "merge_legs"]
 
@@ -103,9 +104,12 @@ class WireTable:
 
     ``net_code`` is an optional per-wire int64 column a builder may emit
     beside ``nets`` (see :mod:`repro.layout.netcode`): an injective code
-    of each net that the streaming validator carries instead of the
-    tuple.  It is derived data — excluded from equality — and ``concat``,
-    ``permuted`` and ``slice_wires`` carry it along.
+    of each net that the validators compare and carry instead of the
+    tuple.  ``net_codec`` is the :class:`~repro.layout.netcode.NetCodec`
+    that packed it, when a codec did (interned codes have none); with
+    it the validator reads each wire's endpoint nodes from the codes.
+    Both are derived data — excluded from equality — and ``concat``,
+    ``permuted`` and ``slice_wires`` carry them along.
     """
 
     nets: List[Tuple]
@@ -116,6 +120,9 @@ class WireTable:
     y2: np.ndarray
     layer: np.ndarray
     net_code: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
+    net_codec: Optional[NetCodec] = field(
         default=None, repr=False, compare=False
     )
     _paths: Optional[_Paths] = field(default=None, repr=False, compare=False)
@@ -141,6 +148,7 @@ class WireTable:
         layer: np.ndarray,
         normalize: bool = True,
         net_code: Optional[np.ndarray] = None,
+        net_codec: Optional[NetCodec] = None,
     ) -> "WireTable":
         """Assemble from raw columns, normalizing endpoint order and
         validating the same invariants ``Segment`` enforces."""
@@ -167,7 +175,8 @@ class WireTable:
             raise ValueError("net_code does not match nets")
         return cls(nets=list(nets), indptr=indptr,
                    x1=x1, y1=y1, x2=x2, y2=y2, layer=layer,
-                   net_code=net_code)
+                   net_code=net_code,
+                   net_codec=None if net_code is None else net_codec)
 
     @classmethod
     def from_wires(cls, wires: Sequence[Wire]) -> "WireTable":
@@ -194,13 +203,16 @@ class WireTable:
     @classmethod
     def concat(cls, tables: Sequence["WireTable"]) -> "WireTable":
         """Concatenate tables, preserving wire order.  The result carries
-        ``net_code`` only when every non-empty input does."""
+        ``net_code`` only when every non-empty input does, and
+        ``net_codec`` only when they all share one."""
         tables = [t for t in tables if t.num_wires]
         if not tables:
             return cls.empty()
-        net_code = None
+        net_code = net_codec = None
         if all(t.net_code is not None for t in tables):
             net_code = np.concatenate([t.net_code for t in tables])
+            if all(t.net_codec == tables[0].net_codec for t in tables):
+                net_codec = tables[0].net_codec
         nets: List[Tuple] = []
         for t in tables:
             nets.extend(t.nets)
@@ -216,6 +228,7 @@ class WireTable:
             y2=np.concatenate([t.y2 for t in tables]),
             layer=np.concatenate([t.layer for t in tables]),
             net_code=net_code,
+            net_codec=net_codec,
         )
 
     def permuted(self, order: np.ndarray, backend=None) -> "WireTable":
@@ -232,12 +245,13 @@ class WireTable:
         idx = np.arange(int(indptr[-1]), dtype=np.int64)
         idx += np.repeat(starts - dst_starts, counts)
         return WireTable(
-            nets=[self.nets[int(o)] for o in order],
+            nets=list(map(self.nets.__getitem__, order.tolist())),
             indptr=indptr,
             x1=be.gather(self.x1, idx), y1=be.gather(self.y1, idx),
             x2=be.gather(self.x2, idx), y2=be.gather(self.y2, idx),
             layer=be.gather(self.layer, idx),
             net_code=None if self.net_code is None else self.net_code[order],
+            net_codec=self.net_codec,
         )
 
     def slice_wires(self, lo: int, hi: int) -> "WireTable":
@@ -257,6 +271,7 @@ class WireTable:
             x2=self.x2[s0:s1], y2=self.y2[s0:s1],
             layer=self.layer[s0:s1],
             net_code=None if self.net_code is None else self.net_code[lo:hi],
+            net_codec=self.net_codec,
         )
 
     # ------------------------------------------------------------------

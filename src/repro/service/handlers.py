@@ -163,7 +163,7 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
     "saturation": {
         "n": (_bounded_int(1, 12), ...),
         "cycles": (_bounded_int(1, 1_000_000), 1500),
-        "threshold": (_as_float, 0.95),
+        "threshold": (_rate, 0.95),
         "seed": (_bounded_int(0, 2**31 - 1), 0),
         "drain": (_optional(_bounded_int(1, 1_000_000)), None),
     },

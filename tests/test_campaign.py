@@ -89,6 +89,32 @@ class TestGrid:
             with pytest.raises(GridError):
                 normalize_grid(bad)
 
+    def test_normalize_rejects_bad_sim_config(self):
+        # each used to pass grid time and fail every saturation stage
+        # (or, for a non-numeric threshold, escape as a bare ValueError)
+        for cfg in (
+            {"threshold": "abc"}, {"threshold": True}, {"threshold": 7},
+            {"threshold": 0}, {"threshold": -1}, {"threshold": float("nan")},
+            {"cycles": 0}, {"cycles": 100, "warmup": 100},
+            {"cycles": 100, "warmup": 150}, {"warmup": -1},
+        ):
+            with pytest.raises(GridError):
+                normalize_grid({"ks": [[1, 1, 1]], "config": cfg})
+        g = normalize_grid({"ks": [[1, 1, 1]],
+                            "config": {"threshold": 1, "cycles": 2,
+                                       "warmup": 1}})
+        assert g["config"]["threshold"] == 1.0
+
+    def test_valid_config_digests_unchanged(self):
+        # pinned: the config checks must not move any valid run id
+        assert spec_digest(normalize_grid({"ks": [[2, 1, 1]]})) == \
+            "58e7794e0395"
+        g = normalize_grid(
+            {"ks": [[2, 2, 2], [3, 3, 2]], "layers": [2, 3],
+             "rate": [0.5, 0.9],
+             "config": {"threshold": 1, "cycles": 300, "warmup": 0}})
+        assert spec_digest(g) == "269e90c21d0f"
+
     def test_expansion_order_is_stable(self):
         g = normalize_grid(
             {"ks": [[1, 1, 1], [2, 1, 1]], "layers": [2, 4],

@@ -413,6 +413,25 @@ class TestSim:
         header = csv_path.read_text().splitlines()[0]
         assert header == "cycle,injected,delivered,in_flight,max_depth"
 
+    def test_empty_window_rejected(self, capsys):
+        # warmup >= cycles leaves nothing to measure: an error, not a
+        # table of zeros
+        assert main(["sim", "-n", "4", "--rate", "0.5", "--cycles", "100",
+                     "--warmup", "100"]) == 2
+        assert "warmup" in capsys.readouterr().err
+        assert main(["sim", "-n", "3", "--rates", "0.3,0.8", "--cycles",
+                     "100", "--warmup", "300"]) == 2
+        assert main(["sim", "-n", "3", "--rate", "1.5"]) == 2
+
+    def test_default_warmup_fits_short_runs(self, capsys):
+        # without --warmup a 150-cycle run still measures 75 cycles
+        assert main(["sim", "-n", "3", "--rate", "0.6", "--cycles",
+                     "150"]) == 0
+        out = capsys.readouterr().out
+        assert main(["sim", "-n", "3", "--rate", "0.6", "--cycles", "150",
+                     "--warmup", "75"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_trace_rejected_in_sweep(self, tmp_path):
         assert main(
             ["sim", "-n", "3", "--rates", "0.3,0.8", "--trace-csv",

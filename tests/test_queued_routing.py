@@ -204,6 +204,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             sweep_rates(0, [0.5])
 
+    def test_rejects_empty_measured_window(self):
+        for warmup in (100, 101, -1):
+            with pytest.raises(ValueError, match="warmup"):
+                simulate_butterfly_queued(3, 0.5, cycles=100, warmup=warmup)
+        with pytest.raises(ValueError, match="warmup"):
+            sweep_rates(3, [0.5], cycles=100, warmup=100)
+
+    def test_default_warmup(self):
+        # 200 cycles for runs longer than that, half the run otherwise
+        assert simulate_butterfly_queued(3, 0.5, cycles=201, seed=1) == \
+            simulate_butterfly_queued(3, 0.5, cycles=201, warmup=200, seed=1)
+        short = simulate_butterfly_queued(3, 0.5, cycles=150, seed=1)
+        assert short.warmup == 75 and short.offered > 0
+        assert sweep_rates(3, [0.5], cycles=150, seeds=(1,)) == [short]
+
     def test_numpy_types_roundtrip(self):
         # sweep_rates coerces rates/seeds so numpy scalars are fine
         res = sweep_rates(2, np.array([0.5]), cycles=100, seeds=np.array([1]))

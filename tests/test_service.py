@@ -270,6 +270,26 @@ class TestHandlers:
         with pytest.raises(QueryError):
             compute("dims", normalize_params("dims", {"ks": [2, 3]}))
 
+    def test_sim_empty_window_rejected(self, store):
+        # warmup >= cycles used to answer offered 0, accepted_fraction 0.0
+        for warmup in (100, 150):
+            with pytest.raises(QueryError, match="warmup"):
+                query("sim", {"n": 4, "rate": 0.5, "cycles": 100,
+                              "warmup": warmup}, store=store)
+        # the service's default warmup (100) needs cycles > 100
+        with pytest.raises(QueryError, match="warmup"):
+            query("sim", {"n": 2, "rate": 0.5, "cycles": 50}, store=store)
+        r = query("sim", {"n": 2, "rate": 0.5, "cycles": 100, "warmup": 99},
+                  store=store)
+        assert r["offered"] > 0
+
+    def test_saturation_threshold_bounded(self):
+        for thr in (5, 1.01, 0, -1, float("nan")):
+            with pytest.raises(QueryError, match="threshold"):
+                normalize_params("saturation", {"n": 3, "threshold": thr})
+        p = normalize_params("saturation", {"n": 3, "threshold": 1})
+        assert p["threshold"] == 1.0
+
     def test_query_without_store(self):
         info = {}
         r = query("dims", {"ks": [2, 2, 2]}, store=None, info=info)
@@ -628,6 +648,21 @@ class TestHTTPServer:
                 urllib.request.urlopen(req)
             assert exc.value.code == 400
             assert "must be an integer" in json.loads(exc.value.read())["error"]
+
+    def test_sim_empty_window_400(self, http_server):
+        base, _store = http_server
+        status, body, _h = _get(
+            f"{base}/v1/sim?n=4&rate=0.5&cycles=100&warmup=100")
+        assert status == 400
+        assert "warmup" in json.loads(body)["error"]
+
+    def test_saturation_threshold_400(self, http_server):
+        base, _store = http_server
+        for thr in ("5", "0", "-1"):
+            status, body, _h = _get(
+                f"{base}/v1/saturation?n=3&threshold={thr}")
+            assert status == 400
+            assert "threshold" in json.loads(body)["error"]
 
     def test_post_bad_body_400(self, http_server):
         base, _store = http_server

@@ -1233,8 +1233,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          "sharded byte-identity, damaged-run resume, "
                          "verify-gate proofs and a sharding speedup floor")
     ap.add_argument("--scale-smoke", action="store_true",
-                    help="parallel chunked pipeline smoke only: B_10 under "
-                         "a 4 MiB budget at 2 workers, gating byte-identity "
+                    help="parallel chunked pipeline smoke only: B_12 under "
+                         "an 8 MiB budget at 2 workers, gating byte-identity "
                          "vs the serial reducer and the monolithic "
                          "validator plus a parent-memory ceiling and a "
                          "cpu-scaled speedup floor; then B_12 chunked "
@@ -1415,8 +1415,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.scale_smoke:
         print("parallel chunked pipeline smoke (byte-identity + memory "
               "ceiling + cpu-scaled speedup):")
+        # B_12: long enough (~5 s serial on 2 cores) that the 1.1x
+        # floor measures the pipeline, not pool start-up after an idle
         section = bench_chunked_parallel(
-            ks=(4, 3, 3), memory_budget=4 << 20, workers_list=(2,),
+            ks=(4, 4, 4), memory_budget=8 << 20, workers_list=(2,),
         )
         print("chunked overhead smoke (byte-identity + <= "
               f"{CHUNKED_OVERHEAD_CEILING:.1f}x monolithic at B_12):")
